@@ -28,14 +28,13 @@ Results land in ``BENCH_throughput.json`` at the repo root (consumed by
 the CI benchmark-smoke step) and in the usual results table.  Set
 ``BENCH_SHORT=1`` for a fast smoke run.
 
-``test_persistence_backends`` compares the journal backends
-(memory / file / sqlite / binfile — the binary-codec file store — and
-sqlstore, the SQL-backed live queue store) at the same fan-out: journal
-flushes per second under the conditional-send workload and wall-clock
-recovery time from the resulting log, written to
+``test_persistence_backends`` compares the durable backends (the memory
+and file journals, and sqlstore, the SQL-backed live queue store) at the
+same fan-out: journal flushes per second under the conditional-send
+workload and wall-clock recovery time from the resulting log, written to
 ``BENCH_persistence.json``.  Backends must agree on the recovered queue
-depths — including across codecs, and including the store whose
-"recovery" is just opening the database.
+depths — including the store whose "recovery" is just opening the
+database.
 """
 
 import json
@@ -73,7 +72,7 @@ PERSISTENCE_RESULT_PATH = os.path.abspath(
         os.path.dirname(__file__), os.pardir, "BENCH_persistence.json"
     )
 )
-PERSISTENCE_BACKENDS = ("memory", "file", "sqlite", "binfile", "sqlstore")
+PERSISTENCE_BACKENDS = ("memory", "file", "sqlstore")
 
 #: Multi-process scaling: receiver-host process counts to sweep.  The
 #: workload is processing-bound (``MP_PROCESSING_MS`` of simulated work
@@ -182,7 +181,7 @@ def run_lifecycle(n_messages):
         latency_ms=5,
         jitter_ms=3,
         journaled=True,
-        journal_factory=journal_factory_for("memory", codec="binary"),
+        journal_factory=journal_factory_for("memory"),
         metrics=metrics,
         adaptive_flush=True,
         pump_coalesce_ms=1,

@@ -96,9 +96,9 @@ def main(argv: List[str] | None = None) -> int:
     )
     parser.add_argument(
         "--journal",
-        choices=("memory", "file", "sqlite"),
+        choices=("memory", "file", "sqlstore"),
         default="memory",
-        help="journal backend (file enables torn-tail faults; sqlite"
+        help="journal backend (file enables torn-tail faults; sqlstore"
         " exercises engine-transaction commit groups)",
     )
     parser.add_argument(

@@ -51,6 +51,7 @@ from repro.mq.manager import QueueManager
 from repro.mq.persistence import (
     FileJournal,
     Journal,
+    encode_frame,
     journal_factory_for,
 )
 from repro.obs.trace import FlightRecorder
@@ -88,7 +89,7 @@ class EpisodeSpec:
     receivers: int = 3
     latency_ms: int = 5
     jitter_ms: int = 0
-    journal: str = "memory"  # "memory" | "file" | "sqlite" | "binfile" | "sqlstore"
+    journal: str = "memory"  # "memory" | "file" | "sqlstore"
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
     plan: FaultPlan = field(default_factory=FaultPlan)
 
@@ -130,10 +131,9 @@ class EpisodeSpec:
         )
         horizon = messages * gap + window
         kinds = ["crash", "crash", "partition", "duplicate", "delay"]
-        if journal in ("file", "binfile"):
-            # Only the file journals model torn writes (line-oriented and
-            # binary-codec alike); the sqlite backend's engine
-            # transactions cannot tear.
+        if journal == "file":
+            # Only file journals model torn writes; the SQL store's
+            # engine transactions cannot tear.
             kinds.append("torn_tail")
         receiver_managers = [f"QM.{n}" for n in spec.receiver_names]
         for _ in range(rng.randint(1, 4)):
@@ -550,23 +550,20 @@ class ChaosHarness:
 
         Only file journals model torn writes; reopening runs
         :class:`FileJournal`'s tail-healing, exactly what a real restart
-        over a torn log does.  Memory journals crash cleanly; sqlite's
-        engine transactions cannot tear.  The tear is written in the
-        journal's own codec — a chopped JSON line for the line-oriented
-        store, a frame cut short mid-payload for the binary codec — and
-        the reopened journal keeps that codec.
+        over a torn log does.  Memory journals crash cleanly; the SQL
+        store's engine transactions cannot tear.  The tear is a frame cut
+        short mid-payload.
         """
         if not isinstance(journal, FileJournal):
             return journal
         path = journal.path
-        codec_name = journal.codec.name
-        torn = journal.codec.encode_record(
+        torn = encode_frame(
             {"op": "put", "queue": "TORN.Q", "message": {"torn": True}}
         )[:-5]
         journal.close()
         with open(path, "ab") as handle:
             handle.write(torn)
-        fresh = FileJournal(path, sync="none", codec=codec_name)
+        fresh = FileJournal(path, sync="none")
         self.journals[manager_name] = fresh
         return fresh
 

@@ -447,11 +447,11 @@ def run_chaos_corpus(
         episodes: Number of seeded episodes.
         base_seed: Seed of the first episode (episode ``i`` uses
             ``base_seed + i``).
-        journal: ``"memory"``, ``"file"``, or ``"sqlite"`` — file
-            journals enable torn-tail faults; sqlite journals exercise
+        journal: ``"memory"``, ``"file"``, or ``"sqlstore"`` — file
+            journals enable torn-tail faults; the SQL store exercises
             engine-transaction commit groups.
-        journal_dir: Directory for file/sqlite journals (temporary when
-            None).
+        journal_dir: Directory for file journals and SQL stores
+            (temporary when None).
         repro_dir: Where to write minimized reproducers for failures.
         transport: ``"local"`` (in-process MessageNetwork chaos) or
             ``"tcp"`` (wire-protocol chaos).

@@ -67,7 +67,7 @@ class QueueManager:
         clock: Time source shared with the rest of the simulation.
         journal: Optional durability log — a :class:`Journal` instance or
             a backend URL (``"memory:"`` / ``"file:<path>"`` /
-            ``"sqlite:<path>"``, resolved via
+            ``"sqlstore:<path>"``, resolved via
             :func:`~repro.mq.persistence.journal_for`); without one the
             manager is volatile (all messages behave as non-persistent on
             restart).

@@ -25,10 +25,10 @@ records per force-out):
   manager exposes it as ``QueueManager.group_commit()`` and the
   conditional-send fan-out routes through it, so one conditional send costs
   one journal flush instead of ``2N+1``;
-* a multi-record commit group is written as **one physical frame** (a
-  ``group`` wrapper record), so a torn write can never persist a prefix of
-  a group: recovery replays the whole group or drops it with the torn
-  tail, making group commit genuinely all-or-nothing;
+* a multi-record commit group is written as **one physical frame**, so
+  a torn write can never persist a prefix of a group: recovery replays
+  the whole group or drops it with the torn tail, making group commit
+  genuinely all-or-nothing;
 * :meth:`Journal.enable_adaptive_flush` arms an **adaptive flush timer**:
   commit groups are held in memory for a bounded window so that groups
   from *separate* sends coalesce into one physical write.  The window is
@@ -49,47 +49,46 @@ records per force-out):
   checkpoint compaction automatically once the log grows past a bound, so
   ``rewrite`` cost is amortized over many appends.
 
-Records are serialized by a pluggable **codec**:
+Every record is written as one **binary frame**: a magic byte, a 4-byte
+payload length, the CRC-32 of the payload, and the pickled record.  A
+multi-record commit group is one ``group`` frame whose payload is the
+concatenation of its member frames, so the group shares one header and
+one CRC.  Recovery walks the frames in order:
 
-* ``json`` (default) — one JSON document per line, human-readable;
-* ``binary`` — a compact length-prefixed frame (magic byte, 4-byte length,
-  CRC-32, pickled record), roughly halving encode cost and bytes per
-  record.
+* an incomplete final frame, or a CRC-mismatched frame that runs to
+  end-of-stream, is the **torn tail** of a crash mid-append — it is
+  skipped and counted, and :class:`FileJournal` truncates it on open so
+  later appends never land on torn bytes;
+* bytes that do not start a frame are a torn tail only when no intact
+  frame follows them (e.g. a zero-filled block after a crash);
+* any damage *before* intact content is bit rot, not a crash artefact,
+  and recovery refuses with :class:`PersistenceError` — as it does for a
+  log in the retired JSON-lines format, which is never healed away.
 
-Recovery **auto-detects** the format frame by frame (a JSON line starts
-with ``{``, a binary frame with its magic byte), so journals written under
-one codec — or a mixture, e.g. a JSON log appended to by a binary-codec
-journal after an upgrade — replay unchanged.
-
-Three stores exist: :class:`FileJournal` (frames on disk, one persistent
-append handle), :class:`SQLiteJournal` (one SQLite database in WAL mode,
-commit groups as SQL transactions), and :class:`MemoryJournal` (same
-record stream, kept in a list; used by tests that inject crashes without
-touching the filesystem).  All count ``flush_count`` / ``bytes_written`` /
-batch sizes, and report them through an attached
+Two stores exist: :class:`FileJournal` (frames on disk, one persistent
+append handle) and :class:`MemoryJournal` (the same frames kept in a
+list; used by tests that inject crashes without touching the
+filesystem).  Both count ``flush_count`` / ``bytes_written`` / batch
+sizes, and report them through an attached
 :class:`~repro.obs.registry.MetricsRegistry` (``journal.flushes``,
 ``journal.records``, ``journal.bytes``, ``journal.batch_records``) when
-the owning manager carries one.
+the owning manager carries one.  The SQL-backed live queue store
+(:mod:`repro.mq.sqlstore`) replaces the journal altogether.
 
 Deployments pick the store by URL through the **backend registry**:
-:func:`journal_for` maps ``memory:``, ``file:<path>``, ``sqlite:<path>``,
-and ``binfile:<path>`` (a file journal defaulting to the binary codec) to
-a constructed journal — a ``?codec=<name>`` query selects the codec
-explicitly (``file:/var/lib/qm.journal?codec=binary``) — and
-:func:`journal_factory_for` derives per-manager journals for
+:func:`journal_for` maps ``memory:``, ``file:<path>`` (``binfile:<path>``
+is an alias) and ``sqlstore:<path>`` to a constructed store, and
+:func:`journal_factory_for` derives per-manager stores for
 testbed-style deployments.  :func:`register_journal_backend` adds new
-schemes, and :func:`register_journal_codec` new codecs, without touching
-callers.
+schemes without touching callers.
 """
 
 from __future__ import annotations
 
 import base64
-import json
 import logging
 import os
 import pickle
-import sqlite3
 import struct
 import zlib
 from abc import ABC, abstractmethod
@@ -152,18 +151,14 @@ def _is_json_safe(value: Any, _seen: Optional[set] = None) -> bool:
 
 
 def encode_body(body: Any, native: bool = False) -> Dict[str, Any]:
-    """Encode a message body for the journal.
+    """Encode a message body as a record field.
 
-    JSON-representable bodies are stored natively (readable journals);
-    anything else is pickled and base64-wrapped.  The JSON check is a
-    structural type probe — the body is serialized exactly once, when the
-    enclosing record is appended, not twice.
-
-    ``native=True`` (used when the enclosing record is bound for a codec
-    whose frames are pickled wholesale, like the binary codec) stores the
-    body as-is under ``kind="raw"``: the probe and the pickle+base64
-    detour are pure overhead when the frame serializer handles arbitrary
-    objects anyway.
+    ``native=True`` (the journal, whose frames are pickled wholesale)
+    stores the body as-is under ``kind="raw"``.  Otherwise — wire frames
+    and SQL store rows, which must stay JSON-safe — JSON-representable
+    bodies are stored natively and anything else is pickled and
+    base64-wrapped.  The JSON check is a structural type probe — the body
+    is serialized exactly once, when the enclosing record is, not twice.
     """
     if native:
         return {"kind": "raw", "data": body}
@@ -192,7 +187,7 @@ def encode_message(message: Message, native: bool = False) -> Dict[str, Any]:
     """Encode a full message as a journalable dict.
 
     ``native`` is forwarded to :func:`encode_body` — pass true only when
-    the record is bound for a codec that serializes frames with pickle.
+    the record is serialized with pickle (journal frames).
     """
     return {
         "message_id": message.message_id,
@@ -231,19 +226,6 @@ def decode_message(record: Dict[str, Any]) -> Message:
         raise PersistenceError(f"journal message record missing field {exc}") from exc
 
 
-def _expand_record(record: Dict[str, Any], out: List[Dict[str, Any]]) -> None:
-    """Append ``record`` to ``out``, inlining ``group`` wrapper records.
-
-    A ``group`` record is the single-frame envelope a multi-record commit
-    group is written as (see :meth:`Journal._write_group`); readers see
-    the logical member records, never the envelope.
-    """
-    if record.get("op") == "group":
-        out.extend(record.get("records", []))
-    else:
-        out.append(record)
-
-
 def _check_sync_policy(sync: str) -> str:
     if sync not in SYNC_POLICIES:
         raise PersistenceError(
@@ -253,18 +235,15 @@ def _check_sync_policy(sync: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Record codecs: JSON lines and length-prefixed binary frames
+# Binary record frames
 # ---------------------------------------------------------------------------
 
-#: First byte of a binary record / group frame.  Chosen outside printable
-#: ASCII so no frame can ever be mistaken for the start of a JSON line
-#: (which always begins with ``{``); the decoder dispatches per frame on
-#: this byte, which is what lets JSON and binary content coexist in one
-#: journal.
+#: First byte of a record / group frame.  Outside printable ASCII, so a
+#: text file or a zero-filled block is never mistaken for a frame.
 _MAGIC_RECORD = 0xB1
 _MAGIC_GROUP = 0xB2
 
-#: Binary frame header: magic byte, payload length, CRC-32 of the payload.
+#: Frame header: magic byte, payload length, CRC-32 of the payload.
 _BIN_HEADER = struct.Struct("<BII")
 
 
@@ -272,77 +251,26 @@ def _bin_frame(magic: int, payload: bytes) -> bytes:
     return _BIN_HEADER.pack(magic, len(payload), zlib.crc32(payload)) + payload
 
 
-class JsonLinesCodec:
-    """One JSON document per newline-terminated line (human-readable)."""
-
-    name = "json"
-    #: Message bodies must be JSON-encodable (or pickle+base64-wrapped).
-    native_bodies = False
-
-    def encode_record(self, record: Dict[str, Any]) -> bytes:
-        return json.dumps(record).encode("utf-8") + b"\n"
-
-    def wrap_group(self, frames: List[bytes]) -> bytes:
-        # Members are serialized already; wrap without re-serializing.
-        inner = b", ".join(frame[:-1] for frame in frames)
-        return b'{"op": "group", "records": [' + inner + b"]}\n"
-
-
-class BinaryRecordCodec:
-    """Compact length-prefixed frames: magic, length, CRC-32, pickle.
+def encode_frame(record: Dict[str, Any]) -> bytes:
+    """Serialize one journal record as a CRC-checked binary frame.
 
     The CRC turns a torn or bit-rotted frame into a detected error
-    instead of a silent mis-replay; a group frame's payload is the
-    concatenation of its member record frames, so the whole group shares
-    one header and is dropped or replayed atomically.
+    instead of a silent mis-replay.
     """
-
-    name = "binary"
-    #: Frames are pickled wholesale, so message bodies can be stored
-    #: as-is (``encode_body(..., native=True)``) — no JSON-safety probe,
-    #: no pickle+base64 detour per body.
-    native_bodies = True
-
-    def encode_record(self, record: Dict[str, Any]) -> bytes:
-        try:
-            payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:  # noqa: BLE001 - report what record failed
-            raise PersistenceError(
-                "journal record is not serializable by the binary codec"
-            ) from exc
-        return _bin_frame(_MAGIC_RECORD, payload)
-
-    def wrap_group(self, frames: List[bytes]) -> bytes:
-        return _bin_frame(_MAGIC_GROUP, b"".join(frames))
-
-
-#: codec name -> codec instance (stateless singletons).
-JOURNAL_CODECS: Dict[str, Any] = {}
-
-
-def register_journal_codec(codec: Any) -> None:
-    """Register a record codec under ``codec.name``.
-
-    A codec provides ``encode_record(record) -> bytes`` (a self-delimiting
-    frame) and ``wrap_group(frames) -> bytes`` (one physical frame holding
-    the member frames).  Decoding is codec-independent: the frame scanner
-    recognizes every registered format by its first byte.
-    """
-    JOURNAL_CODECS[codec.name] = codec
-
-
-register_journal_codec(JsonLinesCodec())
-register_journal_codec(BinaryRecordCodec())
-
-
-def _codec_named(name: str) -> Any:
     try:
-        return JOURNAL_CODECS[name]
-    except KeyError:
+        payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
+    except Exception as exc:  # noqa: BLE001 - report what record failed
+        raise PersistenceError("journal record is not serializable") from exc
+    return _bin_frame(_MAGIC_RECORD, payload)
+
+
+def _check_codec(codec: Optional[str]) -> None:
+    # Binary frames are the only record format; the keyword survives so
+    # callers that name the codec explicitly keep working.
+    if codec not in (None, "binary"):
         raise PersistenceError(
-            f"unknown journal codec {name!r}; registered:"
-            f" {sorted(JOURNAL_CODECS)}"
-        ) from None
+            f"unknown journal codec {codec!r}; registered: ['binary']"
+        )
 
 
 def _unpickle_record(payload: bytes, offset: int, source: str) -> Dict[str, Any]:
@@ -365,7 +293,7 @@ def _scan_group_payload(
     offset: int,
     source: str,
 ) -> int:
-    """Walk the member record frames inside a binary group payload.
+    """Walk the member record frames inside a group payload.
 
     Returns the member count; appends decoded records to ``out`` unless it
     is ``None`` (structural counting).  The group's own CRC already
@@ -399,20 +327,20 @@ def _scan_group_payload(
     return members
 
 
-def _count_json_line(line: bytes) -> int:
-    """Structural record count for one JSON line (group members expand).
-
-    An unparseable line counts as one — :meth:`Journal.read_all` rejects
-    mid-file corruption properly; the open-time count must not.
-    """
-    if line.startswith(b'{"op": "group"'):
-        try:
-            expanded: List[Dict[str, Any]] = []
-            _expand_record(json.loads(line), expanded)
-            return len(expanded)
-        except json.JSONDecodeError:
-            pass
-    return 1
+def _intact_frame_from(data: bytes, start: int) -> bool:
+    """True when an intact, non-empty frame begins at or after ``start``."""
+    for magic in (_MAGIC_RECORD, _MAGIC_GROUP):
+        position = data.find(bytes((magic,)), start)
+        while position != -1:
+            header_end = position + _BIN_HEADER.size
+            if header_end <= len(data):
+                _, length, crc = _BIN_HEADER.unpack_from(data, position)
+                payload = data[header_end:header_end + length]
+                intact = len(payload) == length and zlib.crc32(payload) == crc
+                if length and intact:
+                    return True
+            position = data.find(bytes((magic,)), position + 1)
+    return False
 
 
 def _scan_journal(
@@ -421,103 +349,80 @@ def _scan_journal(
     decode: bool = True,
     strict: bool = True,
 ) -> Tuple[List[Dict[str, Any]], int, int, int]:
-    """Decode a journal byte stream, auto-detecting the frame format.
-
-    Each frame is dispatched on its first byte: the binary magic bytes
-    select a length-prefixed frame, anything else a newline-terminated
-    JSON line — so JSON and binary content can coexist in one journal
-    (e.g. an old JSON log appended to under the binary codec).
+    """Decode a journal byte stream frame by frame.
 
     Returns ``(records, logical_count, valid_end, torn)``:
 
-    * ``records`` — decoded logical records, group wrappers inlined
+    * ``records`` — decoded logical records, group members inlined
       (empty when ``decode`` is false);
     * ``logical_count`` — logical record count (group members counted
       individually);
     * ``valid_end`` — byte offset just past the last intact frame, the
       truncation point for open-time healing;
-    * ``torn`` — 1 when the stream ends in a torn frame: an unterminated
-      JSON line, an incomplete binary frame, a CRC-mismatched frame that
-      runs to end-of-stream, or (when decoding) a complete-but-corrupt
-      final JSON line.  Torn content is excluded from the returns.
+    * ``torn`` — 1 when the stream ends in a torn frame: an incomplete
+      frame, a CRC-mismatched frame that runs to end-of-stream, or bytes
+      that start no frame and are followed by no intact frame.  Torn
+      content is excluded from the returns.
 
     Corruption *before* intact content is not a crash artefact: with
     ``strict`` it raises :class:`PersistenceError`; without (the
-    tolerant open-time scan) the scan simply stops there.
+    tolerant open-time scan) the scan simply stops there.  A JSON-lines
+    record raises in both modes.
     """
     records: List[Dict[str, Any]] = []
     count = 0
     offset = 0
-    valid_end = 0
     end = len(data)
     while offset < end:
-        first = data[offset]
-        if first in (_MAGIC_RECORD, _MAGIC_GROUP):
-            header_end = offset + _BIN_HEADER.size
-            if header_end > end:
-                return records, count, valid_end, 1
-            magic, length, crc = _BIN_HEADER.unpack_from(data, offset)
-            frame_end = header_end + length
-            if frame_end > end:
-                return records, count, valid_end, 1
-            payload = data[header_end:frame_end]
-            if zlib.crc32(payload) != crc:
-                if frame_end == end:
-                    # A torn OS write can complete the header but garble
-                    # the payload; at end-of-stream that is crash
-                    # semantics, not bit rot.
-                    return records, count, valid_end, 1
-                if not strict:
-                    return records, count, valid_end, 0
+        if data[offset] not in (_MAGIC_RECORD, _MAGIC_GROUP):
+            if data[offset] == ord("{"):
+                # A JSON-lines record (the retired text format) is never a
+                # torn frame: refuse, so opening cannot heal a whole log away.
                 raise PersistenceError(
-                    f"corrupt journal frame at byte {offset} in {source}"
+                    f"JSON-lines journal record at byte {offset} in {source};"
+                    " only binary frames are supported"
                 )
-            try:
-                if magic == _MAGIC_GROUP:
-                    count += _scan_group_payload(
-                        payload, records if decode else None, offset, source
-                    )
-                else:
-                    if decode:
-                        records.append(_unpickle_record(payload, offset, source))
-                    count += 1
-            except PersistenceError:
-                if not strict:
-                    return records, count, valid_end, 0
-                raise
-            valid_end = frame_end
-            offset = frame_end
-        else:
-            newline = data.find(b"\n", offset)
-            if newline == -1:
-                return records, count, valid_end, 1
-            line = data[offset:newline].strip()
-            line_start = offset
-            offset = newline + 1
-            if not line:
-                valid_end = offset
-                continue
-            if decode:
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    if not data[offset:].strip():
-                        # A corrupt final line is the signature of a crash
-                        # mid-append; everything before it is intact.
-                        return records, count, valid_end, 1
-                    if not strict:
-                        return records, count, valid_end, 0
-                    raise PersistenceError(
-                        f"corrupt journal record at byte {line_start}"
-                        f" in {source}"
-                    ) from exc
-                before = len(records)
-                _expand_record(record, records)
-                count += len(records) - before
+            if not _intact_frame_from(data, offset + 1):
+                return records, count, offset, 1
+            if not strict:
+                return records, count, offset, 0
+            raise PersistenceError(
+                f"corrupt journal frame at byte {offset} in {source}"
+            )
+        header_end = offset + _BIN_HEADER.size
+        if header_end > end:
+            return records, count, offset, 1
+        magic, length, crc = _BIN_HEADER.unpack_from(data, offset)
+        frame_end = header_end + length
+        if frame_end > end:
+            return records, count, offset, 1
+        payload = data[header_end:frame_end]
+        if zlib.crc32(payload) != crc:
+            if frame_end == end:
+                # A torn OS write can complete the header but garble the
+                # payload; at end-of-stream that is crash semantics, not
+                # bit rot.
+                return records, count, offset, 1
+            if not strict:
+                return records, count, offset, 0
+            raise PersistenceError(
+                f"corrupt journal frame at byte {offset} in {source}"
+            )
+        try:
+            if magic == _MAGIC_GROUP:
+                count += _scan_group_payload(
+                    payload, records if decode else None, offset, source
+                )
             else:
-                count += _count_json_line(line)
-            valid_end = offset
-    return records, count, valid_end, 0
+                if decode:
+                    records.append(_unpickle_record(payload, offset, source))
+                count += 1
+        except PersistenceError:
+            if not strict:
+                return records, count, offset, 0
+            raise
+        offset = frame_end
+    return records, count, offset, 0
 
 
 # ---------------------------------------------------------------------------
@@ -538,30 +443,15 @@ class Journal(ABC):
             once the live log holds at least this many records; the owning
             queue manager then checkpoints automatically, amortizing the
             rewrite cost over many appends.
-        codec: Record serialization format — a registered codec name
-            (``"json"`` / ``"binary"``) or a codec instance.  Reading is
-            always format-auto-detecting, so the codec only governs new
-            appends; an existing journal written under another codec
-            replays unchanged.
     """
-
-    #: Whether multi-record commit groups must be wrapped into one
-    #: physical ``group`` frame before reaching :meth:`_write_serialized`.
-    #: Frame-oriented stores need the wrapper for torn-write atomicity; a
-    #: store with engine-level transactions (:class:`SQLiteJournal`) sets
-    #: this false and receives the member records individually, committing
-    #: them as one transaction instead.
-    wraps_groups = True
 
     def __init__(
         self,
         sync: str = "always",
         compaction_threshold: Optional[int] = None,
-        codec: Any = "json",
     ) -> None:
         self.sync_policy = _check_sync_policy(sync)
         self.compaction_threshold = compaction_threshold
-        self.codec = _codec_named(codec) if isinstance(codec, str) else codec
         #: records durably handed to the store over this object's lifetime
         self.records_written = 0
         #: commit groups written (each is one write+flush; the unit whose
@@ -639,7 +529,7 @@ class Journal(ABC):
 
     def append(self, record: Dict[str, Any]) -> None:
         """Durably append one record (buffered inside :meth:`batch`)."""
-        self._stage([self.codec.encode_record(record)])
+        self._stage([encode_frame(record)])
 
     def append_many(self, records: Iterable[Dict[str, Any]]) -> None:
         """Group-commit a batch of records with a single write+flush.
@@ -650,7 +540,7 @@ class Journal(ABC):
         against a torn write: recovery replays the whole group or none
         of it, never a prefix.
         """
-        frames = [self.codec.encode_record(record) for record in records]
+        frames = [encode_frame(record) for record in records]
         if frames:
             self._stage(frames)
 
@@ -741,15 +631,13 @@ class Journal(ABC):
             self._write_group(frames)
 
     def _write_group(self, frames: List[bytes]) -> None:
-        if self.wraps_groups and len(frames) > 1:
+        if len(frames) > 1:
             # A multi-record group becomes ONE physical frame, so a torn
             # write cannot persist a prefix of the group: either the frame
             # decodes and the whole group replays, or it is dropped as the
             # torn tail.  Members are serialized already; wrap without
-            # re-serializing.  Stores with engine transactions
-            # (``wraps_groups = False``) instead receive the members
-            # individually and commit them as one transaction.
-            physical = [self.codec.wrap_group(frames)]
+            # re-serializing.
+            physical = [_bin_frame(_MAGIC_GROUP, b"".join(frames))]
         else:
             physical = frames
         if self.on_pre_flush is not None:
@@ -915,23 +803,21 @@ class Journal(ABC):
 
     def log_put(self, queue_name: str, message: Message) -> None:
         """Record a committed put of a persistent message."""
-        native = getattr(self.codec, "native_bodies", False)
         self.append(
             {
                 "op": "put",
                 "queue": queue_name,
-                "message": encode_message(message, native=native),
+                "message": encode_message(message, native=True),
             }
         )
 
     def log_put_many(self, puts: Iterable[Tuple[str, Message]]) -> None:
         """Record a batch of committed puts as one commit group."""
-        native = getattr(self.codec, "native_bodies", False)
         self.append_many(
             {
                 "op": "put",
                 "queue": queue_name,
-                "message": encode_message(message, native=native),
+                "message": encode_message(message, native=True),
             }
             for queue_name, message in puts
         )
@@ -951,7 +837,6 @@ class Journal(ABC):
     def checkpoint(self, queues: Dict[str, List[Message]]) -> None:
         """Compact the log to a single snapshot of current persistent state."""
         self.drain()
-        native = getattr(self.codec, "native_bodies", False)
         records: List[Dict[str, Any]] = [{"op": "snapshot-begin"}]
         for queue_name in sorted(queues):
             records.append({"op": "define", "queue": queue_name})
@@ -961,7 +846,7 @@ class Journal(ABC):
                         {
                             "op": "put",
                             "queue": queue_name,
-                            "message": encode_message(message, native=native),
+                            "message": encode_message(message, native=True),
                         }
                     )
         records.append({"op": "snapshot-end"})
@@ -1026,11 +911,8 @@ class MemoryJournal(Journal):
         self,
         sync: str = "always",
         compaction_threshold: Optional[int] = None,
-        codec: Any = "json",
     ) -> None:
-        super().__init__(
-            sync=sync, compaction_threshold=compaction_threshold, codec=codec
-        )
+        super().__init__(sync=sync, compaction_threshold=compaction_threshold)
         self._frames: List[bytes] = []
         self._record_count = 0
 
@@ -1049,7 +931,7 @@ class MemoryJournal(Journal):
 
     def rewrite(self, records: Iterable[Dict[str, Any]]) -> None:
         self.drain()
-        self._frames = [self.codec.encode_record(record) for record in records]
+        self._frames = [encode_frame(record) for record in records]
         self._record_count = len(self._frames)
 
     def size(self) -> int:
@@ -1060,14 +942,12 @@ class MemoryJournal(Journal):
 class FileJournal(Journal):
     """Framed journal on disk with atomic checkpoint rewrite.
 
-    Frames are JSON lines (the default codec) or binary length-prefixed
-    records (``codec="binary"``); reads auto-detect per frame, so a file
-    may mix both.  The append handle stays open for the journal's
-    lifetime (no per-append open/close); :meth:`rewrite` swaps the file
-    atomically and reopens it.  Opening an existing log **heals** a torn
-    final frame (the artifact of a crash mid-append) by truncating it —
-    counted in :attr:`skipped_trailing_records` — so later appends can
-    never concatenate onto torn bytes.  The sync policy decides when
+    The append handle stays open for the journal's lifetime (no
+    per-append open/close); :meth:`rewrite` swaps the file atomically and
+    reopens it.  Opening an existing log **heals** a torn final frame
+    (the artifact of a crash mid-append) by truncating it — counted in
+    :attr:`skipped_trailing_records` — so later appends can never
+    concatenate onto torn bytes.  The sync policy decides when
     ``os.fsync`` runs:
 
     * ``always`` — after every commit group (a group-committed batch still
@@ -1081,11 +961,8 @@ class FileJournal(Journal):
         path: str,
         sync: str = "always",
         compaction_threshold: Optional[int] = None,
-        codec: Any = "json",
     ) -> None:
-        super().__init__(
-            sync=sync, compaction_threshold=compaction_threshold, codec=codec
-        )
+        super().__init__(sync=sync, compaction_threshold=compaction_threshold)
         self.path = path
         directory = os.path.dirname(os.path.abspath(path))
         try:
@@ -1113,9 +990,9 @@ class FileJournal(Journal):
         """Truncate a torn final frame; count the intact records.
 
         Returns ``(torn records removed, logical records in the log)``.
-        The scan is structural and tolerant: a complete-but-unparseable
-        frame counts as one record and is left in place —
-        :meth:`read_all` rejects mid-file corruption properly.
+        The scan is structural and tolerant: it does not unpickle, and it
+        stops at mid-file corruption without truncating anything —
+        :meth:`read_all` rejects that properly.
         """
         try:
             fh = open(self.path, "rb+")
@@ -1192,7 +1069,7 @@ class FileJournal(Journal):
     def rewrite(self, records: Iterable[Dict[str, Any]]) -> None:
         self.drain()
         tmp_path = self.path + ".tmp"
-        frames = [self.codec.encode_record(record) for record in records]
+        frames = [encode_frame(record) for record in records]
         try:
             with open(tmp_path, "wb") as f:
                 for frame in frames:
@@ -1215,219 +1092,6 @@ class FileJournal(Journal):
         return self._records_in_log
 
 
-class SQLiteJournal(Journal):
-    """Journal stored in one SQLite database in WAL mode.
-
-    Torn-write atomicity comes from the storage engine instead of the
-    file journal's one-physical-frame group trick: ``wraps_groups`` is
-    false, so a multi-record commit group arrives as individual member
-    records and is inserted inside a single SQL transaction — the engine
-    guarantees the whole group is durable or none of it is, even across
-    a crash mid-commit.  The crash-point hooks fire at the same
-    boundaries as the other stores (pre-flush before ``BEGIN``,
-    post-flush after ``COMMIT``), so the chaos explorer can kill the
-    manager mid-commit and recovery sees exactly the engine's view.
-
-    Rows are stored as text under the JSON codec (back-compatible with
-    existing databases) and as raw frame blobs under the binary codec;
-    reads dispatch on the row's type.
-
-    The sync policy maps onto ``PRAGMA synchronous``:
-
-    * ``always``  → ``FULL``   (every commit group reaches stable storage
-      before the put returns — the paper's reliability stance);
-    * ``batch``   → ``NORMAL`` (WAL syncs on checkpoints; an OS crash can
-      lose the tail of recent commit groups, never corrupt older ones —
-      the file journal's ``batch`` semantics);
-    * ``none``    → ``OFF``    (the OS decides; cheapest, weakest).
-
-    Checkpoint compaction (:meth:`rewrite`) is a snapshot **table swap**:
-    the snapshot is written to a fresh table inside one transaction that
-    then drops the live table and renames the snapshot into place, so a
-    crash mid-checkpoint leaves either the old log or the new snapshot,
-    never a mixture.  ``skipped_trailing_records`` is always 0 — the
-    engine has no torn tails to heal.
-    """
-
-    wraps_groups = False
-
-    _SYNCHRONOUS = {"always": "FULL", "batch": "NORMAL", "none": "OFF"}
-
-    def __init__(
-        self,
-        path: str,
-        sync: str = "always",
-        compaction_threshold: Optional[int] = None,
-        codec: Any = "json",
-    ) -> None:
-        super().__init__(
-            sync=sync, compaction_threshold=compaction_threshold, codec=codec
-        )
-        self.path = path
-        self._con: Optional[sqlite3.Connection] = None
-        directory = os.path.dirname(os.path.abspath(path))
-        try:
-            os.makedirs(directory, exist_ok=True)
-            self._con = sqlite3.connect(path, isolation_level=None)
-            self._con.execute("PRAGMA journal_mode=WAL")
-            self._con.execute(
-                f"PRAGMA synchronous={self._SYNCHRONOUS[self.sync_policy]}"
-            )
-            self._con.execute(
-                "CREATE TABLE IF NOT EXISTS log ("
-                " seq INTEGER PRIMARY KEY AUTOINCREMENT,"
-                " record TEXT NOT NULL)"
-            )
-            row = self._con.execute("SELECT COUNT(*) FROM log").fetchone()
-            self._record_count = int(row[0])
-        except (sqlite3.Error, OSError) as exc:
-            # A half-open store (connect succeeded but a PRAGMA or the
-            # schema probe failed, e.g. the path holds a non-SQLite file)
-            # must not leak the connection and its -wal/-shm handles.
-            self._close_quietly()
-            raise PersistenceError(f"sqlite journal open failed: {exc}") from exc
-
-    def _close_quietly(self) -> None:
-        """Drop the DB handle without raising (refusal/teardown paths)."""
-        con, self._con = self._con, None
-        if con is not None:
-            try:
-                con.close()
-            except sqlite3.Error:  # pragma: no cover - close cannot really fail
-                pass
-
-    @staticmethod
-    def _row_value(frame: bytes) -> Any:
-        # JSON frames stay TEXT rows (existing databases keep working and
-        # stay greppable); binary frames become blobs.
-        if frame[:1] == b"{":
-            return frame.decode("utf-8").rstrip("\n")
-        return sqlite3.Binary(frame)
-
-    def _write_serialized(self, frames: List[bytes], record_count: int) -> int:
-        """One commit group = one SQL transaction (engine atomicity)."""
-        try:
-            self._con.execute("BEGIN IMMEDIATE")
-            try:
-                self._con.executemany(
-                    "INSERT INTO log(record) VALUES (?)",
-                    [(self._row_value(frame),) for frame in frames],
-                )
-            except BaseException:
-                self._con.execute("ROLLBACK")
-                raise
-            self._con.execute("COMMIT")
-        except sqlite3.Error as exc:
-            raise PersistenceError(f"sqlite journal append failed: {exc}") from exc
-        self._record_count += record_count
-        return sum(len(frame) for frame in frames)
-
-    def read_all(self) -> List[Dict[str, Any]]:
-        self.drain()
-        self.skipped_trailing_records = 0  # the engine has no torn tails
-        records: List[Dict[str, Any]] = []
-        try:
-            rows = self._con.execute(
-                "SELECT seq, record FROM log ORDER BY seq"
-            ).fetchall()
-        except sqlite3.Error as exc:
-            raise PersistenceError(f"sqlite journal read failed: {exc}") from exc
-        for seq, value in rows:
-            if isinstance(value, bytes):
-                frame_records, _, _, torn = _scan_journal(
-                    value, f"{self.path} seq={seq}"
-                )
-                if torn:
-                    # Unlike a frame file, a committed row cannot be a
-                    # crash artifact: any corruption is real and recovery
-                    # refuses.  A refused store is unusable, so the DB
-                    # handle (and its WAL/SHM siblings) is released before
-                    # the refusal propagates — the caller only sees the
-                    # exception and could never close the journal itself.
-                    self._close_quietly()
-                    raise PersistenceError(
-                        f"corrupt journal row seq={seq} in {self.path}"
-                    )
-                records.extend(frame_records)
-                continue
-            try:
-                _expand_record(json.loads(value), records)
-            except json.JSONDecodeError as exc:
-                self._close_quietly()
-                raise PersistenceError(
-                    f"corrupt journal row seq={seq} in {self.path}"
-                ) from exc
-        return records
-
-    def recover(self) -> Tuple[List[str], Dict[str, List[Message]]]:
-        """Replay the log; on refusal, release the DB handle first.
-
-        Corruption can also surface while the base replay decodes
-        individual records (not just while :meth:`read_all` scans rows),
-        and recovery is typically the *only* reference the caller holds —
-        :meth:`QueueManager.recover` never gets a journal back to close.
-        """
-        try:
-            return super().recover()
-        except PersistenceError:
-            self._close_quietly()
-            raise
-
-    def rewrite(self, records: Iterable[Dict[str, Any]]) -> None:
-        self.drain()
-        frames = [self.codec.encode_record(record) for record in records]
-        try:
-            self._con.execute("BEGIN IMMEDIATE")
-            try:
-                self._con.execute("DROP TABLE IF EXISTS log_snapshot")
-                self._con.execute(
-                    "CREATE TABLE log_snapshot ("
-                    " seq INTEGER PRIMARY KEY AUTOINCREMENT,"
-                    " record TEXT NOT NULL)"
-                )
-                self._con.executemany(
-                    "INSERT INTO log_snapshot(record) VALUES (?)",
-                    [(self._row_value(frame),) for frame in frames],
-                )
-                self._con.execute("DROP TABLE log")
-                self._con.execute("ALTER TABLE log_snapshot RENAME TO log")
-            except BaseException:
-                self._con.execute("ROLLBACK")
-                raise
-            self._con.execute("COMMIT")
-            if self.sync_policy != "none":
-                # Match FileJournal.rewrite forcing the snapshot out: fold
-                # the WAL into the main database and fsync it.
-                self._con.execute("PRAGMA wal_checkpoint(TRUNCATE)")
-        except sqlite3.Error as exc:
-            raise PersistenceError(f"sqlite journal rewrite failed: {exc}") from exc
-        self._record_count = len(frames)
-
-    def sync(self) -> None:
-        """Force everything committed so far to stable storage."""
-        self.drain()
-        try:
-            self._con.execute("PRAGMA wal_checkpoint(FULL)")
-        except sqlite3.Error as exc:
-            raise PersistenceError(f"sqlite journal sync failed: {exc}") from exc
-
-    def close(self) -> None:
-        """Checkpoint the WAL (per the sync policy) and close the handle."""
-        self.drain()
-        if self._con is None:
-            return  # already released by a recovery refusal
-        try:
-            if self.sync_policy != "none":
-                self._con.execute("PRAGMA wal_checkpoint(TRUNCATE)")
-        except sqlite3.Error:
-            pass  # closing must succeed even over a checkpoint hiccup
-        self._close_quietly()
-
-    def size(self) -> int:
-        """Number of logical records currently in the live log."""
-        return self._record_count
-
-
 # ---------------------------------------------------------------------------
 # Backend registry
 # ---------------------------------------------------------------------------
@@ -1448,8 +1112,7 @@ def register_journal_backend(
     """Register a journal backend under a URL scheme.
 
     ``factory(path, sync=..., compaction_threshold=...)`` must return a
-    :class:`Journal`; factories for codec-aware stores also accept a
-    ``codec`` keyword.  Registering an existing scheme replaces it, so
+    :class:`Journal`.  Registering an existing scheme replaces it, so
     tests can shadow a backend with an instrumented one.
     """
     if not scheme or not scheme.isalnum():
@@ -1463,11 +1126,7 @@ register_journal_backend(
     lambda path, **kwargs: MemoryJournal(**kwargs),
 )
 register_journal_backend("file", FileJournal)
-register_journal_backend("sqlite", SQLiteJournal, suffix=".db")
-register_journal_backend(
-    "binfile",
-    lambda path, codec="binary", **kwargs: FileJournal(path, codec=codec, **kwargs),
-)
+register_journal_backend("binfile", FileJournal)
 
 
 def journal_for(
@@ -1478,14 +1137,12 @@ def journal_for(
 ) -> Journal:
     """Construct a journal from a backend URL (or bare file path).
 
-    ``memory:`` ignores any path; ``file:<path>`` and ``sqlite:<path>``
-    open (creating if needed) the named store; ``binfile:<path>`` is a
-    file journal defaulting to the binary codec; a bare path with no
-    scheme means ``file:``.  A ``?codec=<name>`` query (or the ``codec``
-    argument) selects the record codec — recovery auto-detects formats,
-    so switching codec over an existing journal is safe.  Unknown
-    schemes raise :class:`PersistenceError` naming the registered
-    backends.
+    ``memory:`` ignores any path; ``file:<path>`` (or its alias
+    ``binfile:<path>``) and ``sqlstore:<path>`` open (creating if needed)
+    the named store; a bare path with no scheme means ``file:``.  Records
+    are always binary frames: a ``?codec=`` query or ``codec`` argument
+    may name ``binary`` and nothing else.  Unknown schemes and codecs
+    raise :class:`PersistenceError` naming the registered ones.
     """
     scheme, sep, path = url_or_path.partition(":")
     if not sep:
@@ -1516,13 +1173,8 @@ def journal_for(
         )
     if not path and scheme not in _PATHLESS_BACKENDS:
         raise PersistenceError(f"journal backend {scheme!r} needs a path")
-    kwargs: Dict[str, Any] = {
-        "sync": sync,
-        "compaction_threshold": compaction_threshold,
-    }
-    if codec is not None:
-        kwargs["codec"] = codec
-    return factory(path, **kwargs)
+    _check_codec(codec)
+    return factory(path, sync=sync, compaction_threshold=compaction_threshold)
 
 
 def journal_factory_for(
@@ -1540,11 +1192,12 @@ def journal_factory_for(
     call configures a whole multi-manager deployment:
 
         Testbed(names, journaled=True,
-                journal_factory=journal_factory_for("sqlite", tmpdir))
+                journal_factory=journal_factory_for("file", tmpdir))
 
     ``memory`` needs no directory; every other backend requires one.
-    ``codec`` (when given) selects the record codec for every journal.
+    ``codec``, as for :func:`journal_for`, may only name ``binary``.
     """
+    _check_codec(codec)
     backend = backend.lower()
     if backend == "sqlstore" and backend not in JOURNAL_BACKENDS:
         import repro.mq.sqlstore  # noqa: F401  (registers the scheme)
@@ -1558,7 +1211,6 @@ def journal_factory_for(
             f"{backend}:",
             sync=sync,
             compaction_threshold=compaction_threshold,
-            codec=codec,
         )
     if directory is None:
         raise PersistenceError(f"journal backend {backend!r} needs a directory")
@@ -1569,6 +1221,5 @@ def journal_factory_for(
             f"{backend}:{os.path.join(directory, filename)}",
             sync=sync,
             compaction_threshold=compaction_threshold,
-            codec=codec,
         )
     return factory

@@ -1,8 +1,8 @@
 """SQL-backed live queue store: the database *is* the queue manager state.
 
 Gray's "Queues Are Databases" argument, applied to this repo: instead of
-keeping queues as Python lists and using SQLite only as a recovery log
-(PR 5's :class:`~repro.mq.persistence.SQLiteJournal`), a
+keeping queues as Python lists and replaying a recovery log
+(:class:`~repro.mq.persistence.FileJournal`), a
 :class:`SqlQueueStore` keeps every stored message as a row in one WAL-mode
 SQLite database.  The queue manager's live representation and its durable
 representation are the same thing, which buys three properties at once:
@@ -226,10 +226,15 @@ def _encode(message: Message) -> str:
 
 
 def _decode(encoded: str) -> Message:
-    if encoded.startswith("P"):
-        record = pickle.loads(base64.b64decode(encoded[1:]))
-    else:
-        record = json.loads(encoded)
+    try:
+        if encoded.startswith("P"):
+            record = pickle.loads(base64.b64decode(encoded[1:]))
+        else:
+            record = json.loads(encoded)
+    except Exception as exc:
+        # A corrupt row is refused like a corrupt journal frame, never
+        # surfaced as a decoder-specific error.
+        raise PersistenceError(f"corrupt queue store row: {exc}") from exc
     return decode_message(record)
 
 
@@ -249,9 +254,6 @@ class SqlQueueStore:
     Several managers may attach to one store instance; single-threaded
     (simulated-time) use is assumed, as everywhere in this repo.
     """
-
-    #: Store transactions batch whole groups, like journal group commit.
-    wraps_groups = True
 
     def __init__(
         self,
@@ -1028,11 +1030,10 @@ def _sqlstore_factory(
     path: str,
     sync: str = "always",
     compaction_threshold: Optional[int] = None,
-    codec: Optional[str] = None,
 ) -> SqlQueueStore:
-    # Stores have no replay log to compact and no record codec; both
-    # journal-URL knobs are accepted (registry compatibility) and ignored.
-    del compaction_threshold, codec
+    # Stores have no replay log to compact; the journal-URL knob is
+    # accepted (registry compatibility) and ignored.
+    del compaction_threshold
     return SqlQueueStore(path, sync=sync)
 
 

@@ -7,8 +7,8 @@ that over real sockets:
 - :mod:`repro.net.rtt` — RFC 6298 smoothed-RTT retransmission timer,
   shared by the in-process ``MessageNetwork`` and the wire transport.
 - :mod:`repro.net.framing` — binary length-prefixed frame codec (magic,
-  length, CRC-32 header — the journal's ``BinaryRecordCodec`` frame
-  format with wire-specific magics).
+  length, CRC-32 header — the journal's record frame format with
+  wire-specific magics).
 - :mod:`repro.net.protocol` — sans-IO channel protocol engine:
   sequence numbers, cumulative acks, credit-based flow control,
   retransmission and reconnect resynchronisation as a pure state

@@ -1,6 +1,6 @@
 """Binary length-prefixed wire framing.
 
-The wire reuses the journal's ``BinaryRecordCodec`` frame format
+The wire reuses the journal's binary record frame format
 (``persistence.py``): a ``struct("<BII")`` header of (magic byte,
 payload length, CRC-32 of the payload) followed by the payload.  The
 magics are wire-specific so a journal file can never be mistaken for a

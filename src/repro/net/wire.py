@@ -75,6 +75,21 @@ DEFAULT_SPOOL_DEPTH = 10_000
 _READ_CHUNK = 64 * 1024
 
 
+async def _wait_event(event: asyncio.Event, timeout_s: float) -> bool:
+    """Wait up to ``timeout_s`` for ``event``; True when it was set.
+
+    Unlike ``asyncio.wait_for`` on Python 3.11, a cancellation that lands
+    in the same loop turn as the event is never swallowed: the caller
+    always sees the ``CancelledError``.
+    """
+    waiter = asyncio.ensure_future(event.wait())
+    try:
+        done, _ = await asyncio.wait({waiter}, timeout=timeout_s)
+    finally:
+        waiter.cancel()
+    return bool(done)
+
+
 class _Outbound:
     """One outbound channel: engine + connection state + pump bookkeeping."""
 
@@ -409,12 +424,9 @@ class WireHost(Transport):
                 ob.timer.clear()
                 continue
             delay_s = max(0.0, (due - self._now()) / 1000.0)
-            try:
-                await asyncio.wait_for(ob.timer.wait(), timeout=delay_s)
+            if await _wait_event(ob.timer, delay_s):
                 ob.timer.clear()
                 continue
-            except asyncio.TimeoutError:
-                pass
             if ob.engine.on_timer(self._now()):
                 writer = ob.writer
                 if writer is not None:

@@ -1,6 +1,7 @@
 """Unit tests for journaling, checkpointing, and crash recovery."""
 
 import os
+import struct
 
 import pytest
 
@@ -13,8 +14,26 @@ from repro.mq.persistence import (
     decode_body,
     decode_message,
     encode_body,
+    encode_frame,
     encode_message,
 )
+
+
+def count_frames(path):
+    """Physical frames in a journal file (a group frame counts once)."""
+    header = struct.Struct("<BII")
+    with open(path, "rb") as f:
+        data = f.read()
+    frames = offset = 0
+    while offset < len(data):
+        _, length, _ = header.unpack_from(data, offset)
+        offset += header.size + length
+        frames += 1
+    return frames
+
+
+def define(queue):
+    return encode_frame({"op": "define", "queue": queue})
 
 
 class TestBodyCodec:
@@ -226,37 +245,52 @@ class TestFileJournal:
         for i in range(10):
             manager.put("A.Q", Message(body=i))
         manager.checkpoint()
-        lines = [l for l in open(path, encoding="utf-8") if l.strip()]
         # snapshot-begin + defines for A.Q and the (empty) dead-letter
         # queue + 10 puts + snapshot-end
-        assert len(lines) == 14
+        assert count_frames(path) == 14
 
-    def test_corrupt_trailing_line_skipped_and_counted(self, tmp_path):
-        # A corrupt FINAL line is a torn write from a crash mid-append:
+    def test_truncated_trailing_frame_skipped_and_counted(self, tmp_path):
+        # A truncated FINAL frame is a torn write from a crash mid-append:
         # recovery skips it, counts it, and keeps everything before it.
         path = str(tmp_path / "torn.journal")
         journal = FileJournal(path)
         journal.append({"op": "define", "queue": "A.Q", "config": {}})
-        with open(path, "a", encoding="utf-8") as f:
-            f.write('{"op": "put", "queue": "A.Q", "mess')  # torn record
+        with open(path, "ab") as f:
+            f.write(define("B.Q")[:-6])  # torn record
         reread = FileJournal(path)
         records = reread.read_all()
         assert [r["op"] for r in records] == ["define"]
         assert reread.skipped_trailing_records == 1
 
-    def test_corrupt_mid_file_line_raises(self, tmp_path):
+    def test_crc_bad_frame_before_intact_one_raises(self, tmp_path):
         # Corruption BEFORE valid records is not a torn tail — recovering
         # past it would silently drop acknowledged state, so refuse.
         path = str(tmp_path / "bad.journal")
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("{not json}\n")
-            f.write('{"op": "define", "queue": "A.Q", "config": {}}\n')
-        with pytest.raises(PersistenceError):
-            FileJournal(path).read_all()
+        bad = bytearray(define("A.Q"))
+        bad[-1] ^= 0xFF  # payload no longer matches its CRC
+        with open(path, "wb") as f:
+            f.write(bytes(bad) + define("B.Q"))
+        journal = FileJournal(path)
+        with pytest.raises(PersistenceError, match="corrupt journal frame"):
+            journal.read_all()
+        journal.close()
+        # Opening must not "heal" the intact frame away either.
+        assert os.path.getsize(path) == len(bad) + len(define("B.Q"))
+
+    def test_garbage_before_intact_frame_raises(self, tmp_path):
+        # Bytes that start no frame are only a torn tail when nothing
+        # intact follows them.
+        path = str(tmp_path / "garbage.journal")
+        with open(path, "wb") as f:
+            f.write(define("A.Q") + b"\x00\x00garbage" + define("B.Q"))
+        journal = FileJournal(path)
+        with pytest.raises(PersistenceError, match="corrupt journal frame"):
+            journal.read_all()
+        journal.close()
 
 
 class TestCommitGroupAtomicity:
-    """A multi-record commit group is one physical line: a torn write can
+    """A multi-record commit group is one physical frame: a torn write can
     never persist an intact prefix of the group, so group replay really is
     all-or-nothing."""
 
@@ -267,14 +301,13 @@ class TestCommitGroupAtomicity:
             "message": encode_message(Message(body=body)),
         }
 
-    def test_group_is_one_line_but_logical_records(self, tmp_path):
+    def test_group_is_one_frame_but_logical_records(self, tmp_path):
         path = str(tmp_path / "g.journal")
         journal = FileJournal(path)
         journal.append_many([self.put_record(i) for i in range(5)])
         assert len(journal.read_all()) == 5
         assert journal.size() == 5
-        with open(path, encoding="utf-8") as f:
-            assert len([l for l in f if l.strip()]) == 1
+        assert count_frames(path) == 1
 
     def test_torn_group_drops_whole_group_not_a_prefix(self, tmp_path):
         path = str(tmp_path / "torn-group.journal")
@@ -292,11 +325,11 @@ class TestCommitGroupAtomicity:
         assert reread.skipped_trailing_records == 1
 
     def test_torn_syncpoint_commit_presumed_aborted(self, clock, tmp_path):
-        # The scenario the group marker exists for: a syncpoint move
+        # The scenario the group frame exists for: a syncpoint move
         # journals its gets+puts as one group.  If a torn write could
         # keep the 'get' removals but lose the matching 'put', recovery
         # would lose the transactionally-moved message.  With the
-        # single-line group, the torn commit vanishes atomically and the
+        # single-frame group, the torn commit vanishes atomically and the
         # move is presumed aborted: the message is back on its source
         # queue, not gone.
         path = str(tmp_path / "tx.journal")
@@ -324,21 +357,21 @@ class TestCommitGroupAtomicity:
 
 
 class TestHealOnOpen:
-    """Opening an existing log truncates a torn final line, so appends can
-    never concatenate onto torn text and corrupt a new record."""
+    """Opening an existing log truncates a torn final frame, so appends
+    can never land on torn bytes and corrupt a new record."""
 
     def test_append_after_torn_tail_does_not_corrupt(self, tmp_path):
         path = str(tmp_path / "heal.journal")
         journal = FileJournal(path)
         journal.append({"op": "define", "queue": "A.Q"})
         journal.close()
-        with open(path, "a", encoding="utf-8") as f:
-            f.write('{"op": "put", "queue": "A.Q", "mess')  # torn, no newline
+        with open(path, "ab") as f:
+            f.write(define("X.Q")[:-3])  # torn mid-payload
         healed = FileJournal(path)
         assert healed.skipped_trailing_records == 1
         healed.append({"op": "define", "queue": "B.Q"})
         records = healed.read_all()
-        # The new record starts on its own line — old records intact, no
+        # The new record starts its own frame — old records intact, no
         # mid-file corruption, torn record still reported as skipped.
         assert [r["queue"] for r in records] == ["A.Q", "B.Q"]
         assert healed.skipped_trailing_records == 1
@@ -349,15 +382,17 @@ class TestHealOnOpen:
         journal.append({"op": "define", "queue": "A.Q"})
         journal.append({"op": "define", "queue": "B.Q"})
         journal.close()
-        with open(path, "a", encoding="utf-8") as f:
-            f.write("garbage-without-newline")
+        with open(path, "ab") as f:
+            f.write(b"\x00" * 16 + b"garbage tail")
         healed = FileJournal(path)
         assert healed.size() == 2
+        assert healed.skipped_trailing_records == 1
+        assert os.path.getsize(path) == 2 * len(define("A.Q"))
 
-    def test_torn_tail_with_no_newline_at_all_heals_to_empty(self, tmp_path):
+    def test_torn_first_frame_heals_to_empty(self, tmp_path):
         path = str(tmp_path / "all-torn.journal")
-        with open(path, "w", encoding="utf-8") as f:
-            f.write('{"op": "def')  # first-ever append tore
+        with open(path, "wb") as f:
+            f.write(define("A.Q")[:5])  # first-ever append tore in the header
         healed = FileJournal(path)
         assert healed.size() == 0
         assert healed.read_all() == []
@@ -368,8 +403,8 @@ class TestHealOnOpen:
         journal = FileJournal(path)
         journal.append({"op": "define", "queue": "A.Q"})
         journal.close()
-        with open(path, "a", encoding="utf-8") as f:
-            f.write("torn")
+        with open(path, "ab") as f:
+            f.write(b"torn")
         healed = FileJournal(path)
         assert healed.skipped_trailing_records == 1
         healed.checkpoint({"A.Q": []})

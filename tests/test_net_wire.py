@@ -19,7 +19,8 @@ from repro.mq.manager import XMIT_PREFIX, QueueManager
 from repro.mq.message import Message
 from repro.mq.network import Transport
 from repro.net.host import inbox_of, parse_addr, parse_peer
-from repro.net.wire import WireHost
+from repro.net.protocol import ChannelEngine
+from repro.net.wire import WireHost, _Outbound
 from repro.obs.registry import MetricsRegistry
 from repro.sim.clock import WallClock
 
@@ -421,5 +422,45 @@ class TestHostCli:
             with pytest.raises(ChannelError):
                 ha.connect_unix("QM.B", str(tmp_path / "b.sock"))
             await ha.close()
+
+        asyncio.run(main())
+
+
+class TestTeardown:
+    """A retransmit timer that fires in the same loop turn as the
+    cancellation must not swallow it: ``close()`` would wait forever."""
+
+    CLOSE_BOUND_S = 5.0
+
+    def test_retx_loop_cancelled_at_timer_boundary_finishes(self):
+        async def main():
+            host = WireHost(manager("QM.A"))
+            ob = _Outbound("QM.B", ChannelEngine("QM.A", "sender"))
+            ob.engine.next_timer = lambda now: now + 60_000
+            task = asyncio.create_task(host._retx_loop(ob))
+            await asyncio.sleep(0.01)  # parked in the timed wait
+            ob.timer.set()
+            task.cancel()
+            done, _ = await asyncio.wait({task}, timeout=self.CLOSE_BOUND_S)
+            assert task in done, "retx loop survived its cancellation"
+            assert task.cancelled()
+            await host.close()
+
+        asyncio.run(main())
+
+    def test_close_returns_when_timer_fires_during_teardown(self, tmp_path):
+        async def main():
+            ma, mb, ha, hb = await linked_pair(tmp_path)
+            ma.put_remote("QM.B", "IN.Q", Message(body="x"))
+            await ha.drain_outbound()
+            ob = ha._outbound["QM.B"]
+            ob.engine.next_timer = lambda now: now + 60_000
+            ob.timer.set()
+            await asyncio.sleep(0.01)  # retx loop parked in the timed wait
+            ob.timer.set()  # wakes the wait in the same turn close() cancels
+            closing = asyncio.create_task(ha.close())
+            done, _ = await asyncio.wait({closing}, timeout=self.CLOSE_BOUND_S)
+            assert closing in done, "WireHost.close() hung"
+            await hb.close()
 
         asyncio.run(main())
