@@ -31,7 +31,7 @@ import os
 import random
 import time
 
-from repro.harness.metrics import LatencyStats
+from repro.obs import LatencyStats
 from repro.harness.reporting import Table
 from repro.mq.manager import QueueManager
 from repro.mq.message import Message

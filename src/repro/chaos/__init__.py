@@ -18,6 +18,9 @@ and check that every guarantee the paper claims still holds.
   :class:`BoundedExplorer`: every interleaving and crash point of a
   declarative :class:`~repro.rules.RuleSet`, checked to fixpoint.
 
+Both explorers run a :class:`~repro.rules.RuleSet` through the same
+:class:`~repro.rules.RuleDriver` on the same :class:`ChaosHarness`.
+
 ``python -m repro.chaos --episodes 50`` runs a corpus from the CLI;
 ``python -m repro.chaos --bounded`` runs the bounded checker on the
 pinned canonical configuration.
@@ -27,7 +30,6 @@ from repro.chaos.bounded import (
     BoundedExplorer,
     BoundedResult,
     BoundedViolation,
-    RuleHarness,
     canonical_ruleset,
 )
 from repro.chaos.explorer import (
@@ -65,7 +67,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "InvariantSuite",
-    "RuleHarness",
     "SendRecord",
     "Violation",
     "canonical_ruleset",

@@ -61,23 +61,18 @@ from repro.chaos.explorer import (
     EpisodeSpec,
 )
 from repro.chaos.faults import FaultPlan
-from repro.chaos.invariants import InvariantSuite, SendRecord, Violation
-from repro.core.receiver import ConditionalMessagingReceiver, ReceivedMessage
-from repro.mq.selectors import compile_selector
+from repro.chaos.invariants import InvariantSuite, Violation
 from repro.rules import (
     DestinationRule,
     GroupRule,
     MessageRule,
     ReactionRule,
     RuleSet,
-    compile_message,
 )
 from repro.sim.determinism import deterministic_ids
-from repro.workloads.generator import WorkloadSpec
 from repro.workloads.scenarios import Testbed
 
 __all__ = [
-    "RuleHarness",
     "BoundedExplorer",
     "BoundedResult",
     "BoundedViolation",
@@ -132,151 +127,6 @@ def canonical_ruleset() -> RuleSet:
         name="canonical",
         seed=2002,
     )
-
-
-class RuleHarness(ChaosHarness):
-    """A chaos harness whose workload is a declarative rule set.
-
-    Same deployment, ledger, crash procedure, and sweep machinery as the
-    random explorer's harness — only :meth:`schedule_workload` differs:
-    sends and reactions come from the :class:`~repro.rules.RuleSet`
-    instead of a seeded generator, so the bounded checker controls every
-    application action declaratively.  Reactions re-resolve the current
-    receiver incarnation at fire time, surviving crash/recover cycles.
-    """
-
-    def __init__(self, ruleset: RuleSet, journal_dir: Optional[str] = None) -> None:
-        ruleset.validate()
-        spec = EpisodeSpec(
-            seed=ruleset.seed,
-            receivers=len(ruleset.receivers),
-            latency_ms=1,
-            jitter_ms=0,
-            journal="memory",
-            workload=WorkloadSpec(messages=0, seed=ruleset.seed),
-            plan=FaultPlan(seed=ruleset.seed),
-        )
-        if ruleset.receivers != spec.receiver_names:
-            raise ValueError(
-                "bounded checking requires testbed receiver naming"
-                f" {spec.receiver_names}, got {ruleset.receivers}"
-            )
-        super().__init__(spec, journal_dir=journal_dir)
-        self.ruleset = ruleset
-
-    def schedule_workload(self) -> None:
-        for index, message in enumerate(self.ruleset.messages):
-            self.scheduler.call_at(
-                message.send_at_ms,
-                lambda index=index, message=message: self._fire_rule_send(
-                    index, message
-                ),
-                label=f"rule-send #{index}",
-            )
-        for reaction in self.ruleset.reactions:
-            self.scheduler.call_at(
-                reaction.at_ms,
-                lambda reaction=reaction: self._fire_reaction(reaction),
-                label=f"rule-react {reaction.receiver}",
-            )
-
-    def _fire_rule_send(self, index: int, rule: MessageRule) -> None:
-        condition = compile_message(
-            rule,
-            queue_of=lambda name: self.testbed.queue_of(name),
-            manager_of=lambda name: f"QM.{name}",
-        )
-        cmid = self.service.send_message(
-            dict(rule.body),
-            condition,
-            compensation=(
-                dict(rule.compensation)
-                if rule.compensation is not None
-                else None
-            ),
-        )
-        self.ledger.record_send(
-            SendRecord(
-                cmid=cmid,
-                destinations=[
-                    (leaf.manager or self.sender_name, leaf.queue)
-                    for leaf in condition.destinations()
-                ],
-                # The service stages a (possibly default-bodied)
-                # compensation for every send; the rule's payload only
-                # customizes its body.
-                has_compensation=True,
-            )
-        )
-
-    @staticmethod
-    def _selector_view(message: Any) -> Any:
-        """The message as a reaction guard sees it.
-
-        JMS selectors match on message *properties*; rule bodies are
-        validated scalar-only dicts, so expose them as properties for
-        guard evaluation (control properties, ``DS_*``, stay
-        authoritative and cannot be shadowed).
-        """
-        if isinstance(message.body, dict):
-            fields = {
-                key: value
-                for key, value in message.body.items()
-                if value is not None and not key.startswith("DS_")
-            }
-            if fields:
-                return message.with_properties(**fields)
-        return message
-
-    def _fire_reaction(self, rule: ReactionRule) -> None:
-        node = self.receivers[rule.receiver]
-        receiver = node.receiver
-        queue_name = self.testbed.queue_of(rule.receiver)
-        if receiver.in_transaction:
-            # Busy with an earlier transaction (single-threaded app);
-            # retry after the hold time, like the random harness.
-            self.scheduler.call_later(
-                max(rule.process_ms, 1),
-                lambda: self._fire_reaction(rule),
-                label=f"rule-react {rule.receiver}",
-            )
-            return
-        guard = compile_selector(rule.guard)
-        if rule.mode == "read" and guard is None:
-            self._record(rule.receiver, receiver.read_message(queue_name))
-            return
-        # Transactional path: commit/abort modes, and any guarded read —
-        # a guard decides only after seeing the message, so the read must
-        # be revocable.
-        receiver.begin_tx()
-        received = receiver.read_message(queue_name)
-        if received is None:
-            receiver.abort_tx()
-            return
-        self.scheduler.call_later(
-            rule.process_ms,
-            lambda: self._complete_reaction(rule, receiver, received),
-            label=f"rule-process {rule.receiver}",
-        )
-
-    def _complete_reaction(
-        self,
-        rule: ReactionRule,
-        receiver: ConditionalMessagingReceiver,
-        received: ReceivedMessage,
-    ) -> None:
-        if self.receivers[rule.receiver].receiver is not receiver:
-            return  # crashed since the read; presumed abort already happened
-        guard = compile_selector(rule.guard)
-        commits = rule.mode != "abort" and (
-            guard is None
-            or guard.matches(self._selector_view(received.message))
-        )
-        if commits:
-            receiver.commit_tx()
-            self._record(rule.receiver, received)
-        else:
-            receiver.abort_tx()
 
 
 @dataclass(frozen=True)
@@ -341,7 +191,7 @@ class BoundedExplorer:
         max_states: int = 100_000,
         max_schedules: int = 50_000,
         max_depth: int = 5_000,
-        on_harness: Optional[Callable[[RuleHarness], None]] = None,
+        on_harness: Optional[Callable[[ChaosHarness], None]] = None,
     ) -> None:
         ruleset.validate()
         if crash_budget < 0:
@@ -362,6 +212,22 @@ class BoundedExplorer:
         self.max_schedules = max_schedules
         self.max_depth = max_depth
         self.on_harness = on_harness
+
+    def harness(self) -> ChaosHarness:
+        """A fresh deployment of the rule set, as one trajectory runs it.
+
+        The chaos explorer's harness with a one-millisecond channel
+        latency, no jitter, a memory journal and an empty fault plan:
+        the explorer itself injects every crash.
+        """
+        return ChaosHarness(
+            EpisodeSpec(
+                ruleset=self.ruleset,
+                seed=self.ruleset.seed,
+                latency_ms=1,
+                plan=FaultPlan(seed=self.ruleset.seed),
+            )
+        )
 
     # -- exploration -------------------------------------------------------------
 
@@ -401,7 +267,7 @@ class BoundedExplorer:
         check's violations, or ``None`` if the trajectory was pruned.
         """
         with deterministic_ids(self.ruleset.seed):
-            harness = RuleHarness(self.ruleset)
+            harness = self.harness()
             if self.on_harness is not None:
                 self.on_harness(harness)
             try:
@@ -463,7 +329,7 @@ class BoundedExplorer:
 
     # -- canonical state hashing ---------------------------------------------------
 
-    def _state_hash(self, harness: RuleHarness, budget: int) -> str:
+    def _state_hash(self, harness: ChaosHarness, budget: int) -> str:
         """SHA-256 of everything that determines the world's future.
 
         Conservative by construction: missing detail merely weakens

@@ -13,17 +13,16 @@ sweeps every destination queue (delivering compensations, cancelling
 original/compensation pairs), and hands the quiesced deployment to the
 :class:`~repro.chaos.invariants.InvariantSuite`.
 
+An episode's workload is a :class:`~repro.rules.RuleSet` (generated
+from the seed by :meth:`~repro.workloads.generator.WorkloadSpec.to_ruleset`)
+run by the late-bound :class:`~repro.rules.RuleDriver`, the same driver
+the bounded checker uses, so application activity survives
+crash/recover cycles and a random-walk reproducer is a rule set the
+bounded checker can enumerate.
+
 On a violation, :meth:`ChaosExplorer.shrink` greedily removes fault
 events while the violation persists, producing a minimal reproducer that
 :meth:`ChaosExplorer.replay` re-runs from its JSON form.
-
-The workload driver here deliberately does NOT reuse
-:class:`~repro.workloads.generator.WorkloadGenerator`'s scripted
-receivers: those capture receiver/service objects at schedule time,
-which a crash turns into zombies.  Every callback below re-resolves the
-current incarnation through the harness at fire time, so application
-activity naturally survives crash/recover cycles — exactly like real
-clients reconnecting to a restarted queue manager.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import json
 import random
 import tempfile
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.chaos.faults import CrashPoint, FaultEvent, FaultInjector, FaultPlan
 from repro.chaos.invariants import (
@@ -43,7 +42,7 @@ from repro.chaos.invariants import (
     Violation,
 )
 from repro.core import control
-from repro.core.builder import destination, destination_set
+from repro.core.conditions import Condition
 from repro.core.logqueues import SENDER_LOG_QUEUE, SenderLogEntry
 from repro.core.receiver import ConditionalMessagingReceiver, ReceivedMessage
 from repro.core.service import ConditionalMessagingService
@@ -55,6 +54,7 @@ from repro.mq.persistence import (
     journal_factory_for,
 )
 from repro.obs.trace import FlightRecorder
+from repro.rules import RuleDriver, RuleSet
 from repro.sim.determinism import deterministic_ids
 from repro.workloads.generator import WorkloadSpec
 from repro.workloads.scenarios import ReceiverNode, Testbed
@@ -79,23 +79,22 @@ MAX_EVENTS_PER_DRAIN = 200_000
 class EpisodeSpec:
     """Everything one chaos episode needs, derived from one seed.
 
-    ``generate(seed)`` derives the topology, the workload, and the fault
-    plan from a single RNG, so the seed alone reproduces the episode;
-    ``to_json``/``from_json`` serialize a (possibly shrunk) spec as a
-    standalone reproducer.
+    ``generate(seed)`` derives the topology, the workload rule set, and
+    the fault plan from a single RNG, so the seed alone reproduces the
+    episode; ``to_json``/``from_json`` serialize a (possibly shrunk)
+    spec as a standalone reproducer.  The rule set names the receivers.
     """
 
+    ruleset: RuleSet
     seed: int = 0
-    receivers: int = 3
     latency_ms: int = 5
     jitter_ms: int = 0
     journal: str = "memory"  # "memory" | "file" | "sqlstore"
-    workload: WorkloadSpec = field(default_factory=WorkloadSpec)
     plan: FaultPlan = field(default_factory=FaultPlan)
 
     @property
     def receiver_names(self) -> List[str]:
-        return [f"R{i}" for i in range(1, self.receivers + 1)]
+        return list(self.ruleset.receivers)
 
     @property
     def manager_names(self) -> List[str]:
@@ -121,12 +120,15 @@ class EpisodeSpec:
             seed=seed,
         )
         spec = cls(
+            ruleset=workload.to_ruleset(
+                [f"R{i}" for i in range(1, receivers + 1)],
+                body={"chaos": True},
+                compensation={"undo": True},
+            ),
             seed=seed,
-            receivers=receivers,
             latency_ms=rng.randint(2, 25),
             jitter_ms=rng.randint(0, 8),
             journal=journal,
-            workload=workload,
             plan=FaultPlan(seed=seed),
         )
         horizon = messages * gap + window
@@ -176,25 +178,13 @@ class EpisodeSpec:
             spec.plan.events.append(event)
         return spec
 
-    def to_dict(self) -> Dict:
-        workload = {
-            "messages": self.workload.messages,
-            "fan_out": self.workload.fan_out,
-            "pick_up_window_ms": self.workload.pick_up_window_ms,
-            "processing_fraction": self.workload.processing_fraction,
-            "processing_window_ms": self.workload.processing_window_ms,
-            "on_time_probability": self.workload.on_time_probability,
-            "abort_probability": self.workload.abort_probability,
-            "inter_send_gap_ms": self.workload.inter_send_gap_ms,
-            "seed": self.workload.seed,
-        }
+    def to_dict(self) -> Dict[str, Any]:
         return {
             "seed": self.seed,
-            "receivers": self.receivers,
             "latency_ms": self.latency_ms,
             "jitter_ms": self.jitter_ms,
             "journal": self.journal,
-            "workload": workload,
+            "ruleset": self.ruleset.to_dict(),
             "plan": self.plan.to_dict(),
         }
 
@@ -202,14 +192,20 @@ class EpisodeSpec:
         return json.dumps(self.to_dict(), indent=indent)
 
     @classmethod
-    def from_dict(cls, data: Dict) -> "EpisodeSpec":
+    def from_dict(cls, data: Dict[str, Any]) -> "EpisodeSpec":
+        seed = int(data.get("seed", 0))
+        if "ruleset" not in data:
+            raise ValueError(
+                "episode reproducer has no 'ruleset' (an old-format"
+                " reproducer); regenerate it from its seed with"
+                f" EpisodeSpec.generate({seed})"
+            )
         return cls(
-            seed=int(data.get("seed", 0)),
-            receivers=int(data.get("receivers", 3)),
+            ruleset=RuleSet.from_dict(data["ruleset"]),
+            seed=seed,
             latency_ms=int(data.get("latency_ms", 5)),
             jitter_ms=int(data.get("jitter_ms", 0)),
             journal=str(data.get("journal", "memory")),
-            workload=WorkloadSpec(**data.get("workload", {})),
             plan=FaultPlan.from_dict(data.get("plan", {})),
         )
 
@@ -289,7 +285,6 @@ class ChaosHarness:
         self.receivers: Dict[str, ReceiverNode] = self.testbed.receivers
         self.ledger = EpisodeLedger()
         self.injector = FaultInjector(spec.plan, self.network, self.scheduler)
-        self._workload_rng = random.Random(spec.workload.seed)
 
     def _make_journal(self, name: str) -> Journal:
         # sync="none": chaos cares about record ordering, atomicity, and
@@ -306,143 +301,28 @@ class ChaosHarness:
         self.injector.install(self.journals)
 
     def schedule_workload(self) -> None:
-        """Schedule every send and every receiver reaction, late-bound."""
-        spec = self.spec.workload
-        names = self.spec.receiver_names
-        rng = self._workload_rng
-        for index in range(spec.messages):
-            send_at = index * spec.inter_send_gap_ms
-            start = (index * spec.fan_out) % len(names)
-            chosen = [
-                names[(start + i) % len(names)] for i in range(spec.fan_out)
-            ]
-            wants_processing = rng.random() < spec.processing_fraction
-            reactions: List[Tuple[str, int, str, int]] = []
-            for name in chosen:
-                on_time = rng.random() < spec.on_time_probability
-                aborts = (
-                    wants_processing and rng.random() < spec.abort_probability
-                )
-                react = (
-                    rng.randint(1, max(spec.pick_up_window_ms // 2, 1))
-                    if on_time
-                    else spec.pick_up_window_ms * 2
-                )
-                mode = (
-                    "abort"
-                    if aborts
-                    else ("commit" if wants_processing else "read")
-                )
-                process_ms = min(1_000, spec.processing_window_ms)
-                reactions.append((name, react, mode, process_ms))
-            self.scheduler.call_later(
-                send_at,
-                lambda chosen=chosen, wants=wants_processing, reactions=reactions: (
-                    self._fire_send(chosen, wants, reactions)
-                ),
-                label=f"chaos-send #{index}",
-            )
+        """Schedule the rule set's sends and reactions, ledgering both."""
+        RuleDriver(
+            self.testbed,
+            self.spec.ruleset,
+            on_send=self._record_send,
+            on_observe=self._record,
+        ).schedule()
 
-    def _fire_send(
-        self,
-        chosen: List[str],
-        wants_processing: bool,
-        reactions: List[Tuple[str, int, str, int]],
-    ) -> None:
-        spec = self.spec.workload
-        leaves = [
-            destination(
-                self.testbed.queue_of(name),
-                manager=f"QM.{name}",
-                recipient=name,
-            )
-            for name in chosen
-        ]
-        if wants_processing:
-            condition = destination_set(
-                *leaves,
-                msg_pick_up_time=spec.pick_up_window_ms,
-                msg_processing_time=spec.processing_window_ms,
-            )
-        else:
-            condition = destination_set(
-                *leaves, msg_pick_up_time=spec.pick_up_window_ms
-            )
-        # A pre-flush crash inside send_message propagates out before the
-        # cmid exists; the durable half of such an interrupted send (if
-        # any) is learned from DS.SLOG.Q during recovery.
-        cmid = self.service.send_message(
-            {"chaos": True}, condition, compensation={"undo": True}
-        )
+    def _record_send(self, cmid: str, condition: Condition) -> None:
         self.ledger.record_send(
             SendRecord(
                 cmid=cmid,
                 destinations=[
-                    (f"QM.{name}", self.testbed.queue_of(name))
-                    for name in chosen
+                    (leaf.manager or self.sender_name, leaf.queue)
+                    for leaf in condition.destinations()
                 ],
+                # The service stages a (possibly default-bodied)
+                # compensation for every send; a rule's payload only
+                # customizes its body.
                 has_compensation=True,
             )
         )
-        for name, react, mode, process_ms in reactions:
-            self.scheduler.call_later(
-                react,
-                lambda name=name, mode=mode, process_ms=process_ms: (
-                    self._react(name, mode, process_ms)
-                ),
-                label=f"chaos-react {name}",
-            )
-
-    # -- receiver reactions (late-bound through self.receivers) ------------------
-
-    def _react(self, name: str, mode: str, process_ms: int) -> None:
-        node = self.receivers[name]
-        queue_name = self.testbed.queue_of(name)
-        receiver = node.receiver
-        if receiver.in_transaction:
-            # Busy with an earlier message's transaction; retry shortly
-            # (single-threaded application, like the rest of the
-            # simulation).  This applies to plain reads too: a
-            # read_message issued now would silently join the open
-            # transaction, and a rollback would un-deliver a message the
-            # driver already counted as observed.
-            self.scheduler.call_later(
-                max(process_ms, 1),
-                lambda: self._react(name, mode, process_ms),
-                label=f"chaos-react {name}",
-            )
-            return
-        if mode == "read":
-            self._record(name, receiver.read_message(queue_name))
-            return
-        receiver.begin_tx()
-        received = receiver.read_message(queue_name)
-        if received is None:
-            receiver.abort_tx()
-            return
-        self.scheduler.call_later(
-            process_ms,
-            lambda: self._complete_tx(name, receiver, received, mode),
-            label=f"chaos-process {name}",
-        )
-
-    def _complete_tx(
-        self,
-        name: str,
-        receiver: ConditionalMessagingReceiver,
-        received: ReceivedMessage,
-        mode: str,
-    ) -> None:
-        if self.receivers[name].receiver is not receiver:
-            # The manager crashed since the read: the transaction died
-            # with it (presumed abort — the locked message is live again
-            # in the recovered state), so there is nothing to complete.
-            return
-        if mode == "commit":
-            receiver.commit_tx()
-            self._record(name, received)
-        else:
-            receiver.abort_tx()
 
     def _record(self, name: str, received: Optional[ReceivedMessage]) -> None:
         """Ledger the application-visible effect of one delivered message."""
@@ -683,7 +563,7 @@ class ChaosExplorer:
 
         Repeatedly tries dropping one fault event at a time, keeping any
         removal that preserves *some* invariant violation; then tries
-        halving the workload size the same way.  The result replays from
+        halving the rule set's messages (and their reactions) the same way.  The result replays from
         its JSON form via :meth:`replay`.
         """
         if self.run_episode(spec).ok:
@@ -699,11 +579,16 @@ class ChaosExplorer:
                     current = candidate
                     shrunk = True
                     break
-        while current.workload.messages > 1:
+        while len(current.ruleset.messages) > 1:
             candidate = EpisodeSpec.from_dict(current.to_dict())
-            candidate.workload.messages = max(
-                1, candidate.workload.messages // 2
-            )
+            rules = candidate.ruleset
+            kept = len(rules.messages) // 2
+            # Reactions go with the messages they were generated for
+            # (``fan_out`` per message, in message order).
+            rules.reactions = rules.reactions[
+                : len(rules.reactions) * kept // len(rules.messages)
+            ]
+            rules.messages = rules.messages[:kept]
             if self.run_episode(candidate).ok:
                 break
             current = candidate

@@ -1,14 +1,14 @@
-"""Experiment harness: metrics, runners, and table reporting.
+"""Experiment harness: runners and table reporting.
 
 The paper reports no numeric tables; EXPERIMENTS.md defines the scenario
 and characterization experiments this reproduction runs for each figure.
-This package provides the shared machinery: latency/throughput metric
-collection with percentiles, experiment runners that assemble testbeds
-and sweeps, and fixed-width table rendering for the benchmark output.
+This package provides the shared machinery: experiment runners that
+assemble testbeds and sweeps, and fixed-width table rendering for the
+benchmark output.  Percentile summaries (:class:`LatencyStats`) live in
+:mod:`repro.obs` with the metrics registry and are re-exported here.
 """
 
 from repro.harness.inspect import format_snapshot, snapshot_manager, snapshot_service
-from repro.harness.metrics import LatencyStats, MetricSeries
 from repro.harness.reporting import Table, render_metrics, render_trace_timeline
 from repro.harness.runner import (
     ExperimentResult,
@@ -16,10 +16,10 @@ from repro.harness.runner import (
     run_example1,
     run_example2,
 )
+from repro.obs import LatencyStats
 
 __all__ = [
     "LatencyStats",
-    "MetricSeries",
     "Table",
     "render_trace_timeline",
     "render_metrics",

@@ -129,7 +129,7 @@ def render_metrics(registry: MetricsRegistry, title: str = "metrics") -> str:
     """Render a registry's counters, gauges, and histogram summaries.
 
     Histograms show count/mean/p50/p95/p99 via
-    :class:`~repro.harness.metrics.LatencyStats` (one row per histogram);
+    :class:`~repro.obs.registry.LatencyStats` (one row per histogram);
     counters and gauges are one row each, sorted by name.
     """
     blocks: List[str] = []

@@ -113,12 +113,16 @@ class Channel:
         latency_ms: Base one-way transfer time.
         jitter_ms: Uniform extra delay in ``[0, jitter_ms]`` per attempt.
         loss_rate: Probability that a transfer attempt fails and is
-            retried after the channel's current retransmission timeout.
-        retry_interval_ms: *Initial* retransmission timeout.  Subsequent
-            retries are timed by the channel's RFC 6298 estimator
+            retried after that transfer's retransmission timeout.
+        retry_interval_ms: *Initial* retransmission timeout.  Retries
+            are timed from the channel's RFC 6298 estimator
             (:attr:`rtt`): successful transfer times feed the smoothed
-            RTT, each failed attempt doubles the timeout, and — Karn's
-            rule — retried or re-driven transfers never produce samples.
+            RTT, and — Karn's rule — retried or re-driven transfers
+            never produce samples.  A transfer's first retry waits the
+            channel's current RTO; each further failure of *that*
+            transfer doubles its own timeout (clamped at the estimator's
+            ``max_rto``), so one lossy transfer never inflates the
+            timeout of the others in flight.
         stopped: A stopped channel parks messages on the transmission
             queue until restarted (models a network partition).
     """
@@ -132,9 +136,11 @@ class Channel:
     stopped: bool = False
     stats: ChannelStats = field(default_factory=ChannelStats)
     rtt: Optional[RttEstimator] = None
-    #: message_id -> [first_attempt_ms, ambiguous] for in-flight
-    #: transfers; ``ambiguous`` marks retried/re-driven messages whose
-    #: completion must not be sampled (Karn's rule).
+    #: message_id -> [first_attempt_ms, ambiguous, retry_ms] for
+    #: in-flight transfers; ``ambiguous`` marks retried/re-driven
+    #: messages whose completion must not be sampled (Karn's rule), and
+    #: ``retry_ms`` is the transfer's next backed-off retry timeout
+    #: (``None`` until its first failed attempt).
     inflight: Dict[str, List] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -431,7 +437,7 @@ class MessageNetwork(Transport):
         now = self.scheduler.clock.now_ms()
         entry = chan.inflight.get(message_id)
         if entry is None:
-            chan.inflight[message_id] = [now, False]
+            chan.inflight[message_id] = [now, False, None]
         else:
             # Re-driven (partition heal / crash recovery): a fresh wire
             # attempt for a message that may also have an older attempt
@@ -453,14 +459,16 @@ class MessageNetwork(Transport):
             chan.stats.failed_attempts += 1
             if self.scheduler is None:
                 raise ChannelError("loss requires a scheduler")  # pragma: no cover
-            entry = chan.inflight.get(message_id)
-            if entry is not None:
-                entry[1] = True  # Karn: the eventual success is ambiguous
-            # RFC 6298: wait the current timeout, then double it for the
-            # next expiry.  A later successful sample recomputes the RTO
-            # from the smoothed estimate, collapsing the backoff.
-            retry_after = chan.rtt.rto
-            chan.rtt.backoff()
+            entry = chan.inflight.setdefault(
+                message_id, [self.scheduler.clock.now_ms(), True, None]
+            )
+            entry[1] = True  # Karn: the eventual success is ambiguous
+            # RFC 6298 backoff, per transfer: the first retry waits the
+            # channel's current timeout, each later one twice the last.
+            # The shared estimator is left alone, so a loss burst on
+            # other transfers cannot push this one's timer out.
+            retry_after = entry[2] if entry[2] is not None else chan.rtt.rto
+            entry[2] = min(retry_after * 2.0, chan.rtt.max_rto)
             self.scheduler.call_later(
                 retry_after,
                 lambda: self._attempt_transfer(chan, message_id),

@@ -20,7 +20,7 @@ and/or :class:`MetricsRegistry` to the queue managers and network — or to
 :class:`~repro.workloads.scenarios.Testbed`, which wires them everywhere.
 """
 
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import LatencyStats, MetricsRegistry, percentile
 from repro.obs.trace import (
     NULL_TRACER,
     STAGE_ACK,
@@ -47,6 +47,8 @@ __all__ = [
     "TraceEvent",
     "NULL_TRACER",
     "MetricsRegistry",
+    "LatencyStats",
+    "percentile",
     "cmid_of",
     "STAGE_SEND",
     "STAGE_XMIT",

@@ -11,17 +11,66 @@ dotted paths, e.g.::
     ack_latency_ms            histogram: send -> ack processed at sender
     decision_latency_ms       histogram: send -> outcome decided
 
-Histogram summaries reuse the harness percentile machinery
-(:func:`repro.harness.metrics.percentile` via
-:class:`~repro.harness.metrics.LatencyStats`).
+Histogram summaries are :class:`LatencyStats`, built on the linearly
+interpolated :func:`percentile`; the benchmarks print the same summary.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+import math
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.harness.metrics import LatencyStats
+
+@dataclass
+class LatencyStats:
+    """Summary statistics over a sample of latencies (milliseconds)."""
+
+    count: int
+    mean: float
+    minimum: float
+    maximum: float
+    p50: float
+    p95: float
+    p99: float
+
+    @classmethod
+    def from_samples(cls, samples: List[float]) -> "LatencyStats":
+        """Compute summary stats; raises on an empty sample."""
+        if not samples:
+            raise ValueError("cannot summarize an empty sample")
+        ordered = sorted(samples)
+        return cls(
+            count=len(ordered),
+            mean=sum(ordered) / len(ordered),
+            minimum=ordered[0],
+            maximum=ordered[-1],
+            p50=percentile(ordered, 50),
+            p95=percentile(ordered, 95),
+            p99=percentile(ordered, 99),
+        )
+
+
+def percentile(ordered: List[float], pct: float) -> float:
+    """Linearly interpolated percentile of a pre-sorted sample.
+
+    Uses the "linear" method (NumPy's default): the rank is
+    ``pct/100 * (n - 1)`` and a fractional rank interpolates between the
+    two closest order statistics.  So ``percentile([10, 20, 30, 40], 25)``
+    is ``17.5`` — *not* the nearest-rank answer ``20``.  ``pct=0`` and
+    ``pct=100`` return the minimum and maximum exactly.
+    """
+    if not ordered:
+        raise ValueError("cannot take a percentile of an empty sample")
+    if len(ordered) == 1:
+        return ordered[0]
+    rank = (pct / 100.0) * (len(ordered) - 1)
+    low = math.floor(rank)
+    high = math.ceil(rank)
+    if low == high:
+        return ordered[low]
+    fraction = rank - low
+    return ordered[low] * (1 - fraction) + ordered[high] * fraction
 
 
 class MetricsRegistry:
@@ -72,15 +121,11 @@ class MetricsRegistry:
         """Raw samples of a histogram (empty list if absent)."""
         return list(self._histograms.get(name, []))
 
-    def histogram_stats(self, name: str) -> "Optional[LatencyStats]":
+    def histogram_stats(self, name: str) -> Optional[LatencyStats]:
         """Percentile summary of a histogram, or ``None`` if empty."""
         samples = self._histograms.get(name)
         if not samples:
             return None
-        # Imported lazily: the mq layer loads this module at import time,
-        # and repro.harness transitively imports the mq layer.
-        from repro.harness.metrics import LatencyStats
-
         return LatencyStats.from_samples(samples)
 
     def histograms(self) -> List[str]:

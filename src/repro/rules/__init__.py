@@ -2,8 +2,9 @@
 
 Rules are the data form of a complete small scenario — receivers,
 conditional sends, scripted reactions — with a canonical JSON encoding,
-a compiler to the production condition object model, and a seeded
-generator of valid small instances for the bounded model checker.
+a compiler to the production condition object model, a seeded
+generator of valid small instances for the bounded model checker, and
+the :class:`RuleDriver` that runs a rule set against a live deployment.
 """
 
 from repro.rules.compile import (
@@ -12,6 +13,7 @@ from repro.rules.compile import (
     default_manager_of,
     default_queue_of,
 )
+from repro.rules.driver import RuleDriver
 from repro.rules.generate import RuleSetGenerator
 from repro.rules.model import (
     DestinationRule,
@@ -28,6 +30,7 @@ __all__ = [
     "GroupRule",
     "MessageRule",
     "ReactionRule",
+    "RuleDriver",
     "RuleSet",
     "RuleSetGenerator",
     "RuleValidationError",

@@ -1,20 +1,30 @@
 """Seeded random workload generation for parameter sweeps.
 
-A :class:`WorkloadGenerator` produces batches of conditional sends with
-randomized condition shapes and randomized (but reproducible) receiver
-behaviour, so benchmarks can exercise the evaluation manager and the
-compensation path at scale without hand-writing every scenario.
+A :class:`WorkloadSpec` expands, through one seeded RNG, into a
+:class:`~repro.rules.RuleSet`: conditional sends with randomized
+condition shapes and randomized (but reproducible) receiver reactions.
+The chaos explorer's episodes are such rule sets; the
+:class:`WorkloadGenerator` runs one on a testbed through the
+:class:`~repro.rules.RuleDriver`, so benchmarks can exercise the
+evaluation manager and the compensation path at scale without
+hand-writing every scenario.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List
+from typing import Any, Dict, List, Optional
 
-from repro.core.builder import destination, destination_set
-from repro.core.conditions import DestinationSet
-from repro.workloads.receivers import ReceiverMode, ReceiverScript, ScriptedReceiver
+from repro.core.conditions import Condition
+from repro.rules import (
+    DestinationRule,
+    GroupRule,
+    MessageRule,
+    ReactionRule,
+    RuleDriver,
+    RuleSet,
+)
 from repro.workloads.scenarios import Testbed
 
 
@@ -45,13 +55,78 @@ class WorkloadSpec:
     inter_send_gap_ms: int = 100
     seed: int = 0
 
+    def to_ruleset(
+        self,
+        receivers: List[str],
+        body: Dict[str, Any],
+        compensation: Optional[Dict[str, Any]] = None,
+    ) -> RuleSet:
+        """Expand the spec into a rule set over ``receivers``.
+
+        Message ``i`` goes to ``fan_out`` receivers cycled from
+        ``receivers``, and the reactions list holds that message's
+        ``fan_out`` reactions, in order, right after message ``i - 1``'s.
+        Per message the RNG draws whether it demands processing, then per
+        receiver whether it reacts on time, whether it aborts, and its
+        reaction delay.
+        """
+        if self.fan_out > len(receivers):
+            raise ValueError(
+                f"fan_out {self.fan_out} exceeds the {len(receivers)} receivers"
+            )
+        rng = random.Random(self.seed)
+        # Every reaction holds its transaction this long, and a reaction
+        # that finds its receiver busy retries after the same delay.
+        process_ms = min(1_000, self.processing_window_ms)
+        ruleset = RuleSet(
+            receivers=list(receivers), name=f"workload-{self.seed}", seed=self.seed
+        )
+        for index in range(self.messages):
+            send_at = index * self.inter_send_gap_ms
+            start = index * self.fan_out
+            chosen = [
+                receivers[(start + i) % len(receivers)] for i in range(self.fan_out)
+            ]
+            wants_processing = rng.random() < self.processing_fraction
+            condition = GroupRule(
+                members=[DestinationRule(receiver=name) for name in chosen],
+                pick_up_within_ms=self.pick_up_window_ms,
+                process_within_ms=(
+                    self.processing_window_ms if wants_processing else None
+                ),
+            )
+            ruleset.messages.append(
+                MessageRule(
+                    condition,
+                    send_at_ms=send_at,
+                    body=dict(body),
+                    compensation=None if compensation is None else dict(compensation),
+                )
+            )
+            for name in chosen:
+                on_time = rng.random() < self.on_time_probability
+                aborts = wants_processing and rng.random() < self.abort_probability
+                # On-time reactions land inside the first half of the
+                # window, leaving headroom for channel latency so the
+                # *read timestamp* is reliably within the deadline.
+                react = (
+                    rng.randint(1, max(self.pick_up_window_ms // 2, 1))
+                    if on_time
+                    else self.pick_up_window_ms * 2
+                )
+                mode = "abort" if aborts else ("commit" if wants_processing else "read")
+                ruleset.reactions.append(
+                    ReactionRule(name, send_at + react, mode, process_ms)
+                )
+        return ruleset
+
 
 @dataclass
 class WorkloadResult:
     """What a generated workload produced.
 
-    ``expected_success`` is a *naive* estimate assuming each scripted
-    receiver reads exactly the message it was scripted for.  Receivers
+    ``expected_success`` is a *naive* estimate assuming each receiver
+    reads exactly the message its reaction was generated for.  Receivers
     shared across overlapping messages can legitimately pick up each
     other's messages from their queue (acknowledgments correlate by the
     consumed message's id), so the realized success count may differ;
@@ -69,34 +144,8 @@ class WorkloadGenerator:
     def __init__(self, testbed: Testbed, spec: WorkloadSpec) -> None:
         self.testbed = testbed
         self.spec = spec
-        self._rng = random.Random(spec.seed)
-        self._receiver_names = list(testbed.receivers)
-        if spec.fan_out > len(self._receiver_names):
-            raise ValueError(
-                f"fan_out {spec.fan_out} exceeds testbed receivers"
-                f" ({len(self._receiver_names)})"
-            )
-
-    def build_condition(self, index: int) -> DestinationSet:
-        """Condition for the ``index``-th message (deterministic)."""
-        names = self._pick_receivers(index)
-        wants_processing = self._rng.random() < self.spec.processing_fraction
-        leaves = [
-            destination(
-                self.testbed.queue_of(name),
-                manager=f"QM.{name}",
-                recipient=name,
-            )
-            for name in names
-        ]
-        if wants_processing:
-            return destination_set(
-                *leaves,
-                msg_pick_up_time=self.spec.pick_up_window_ms,
-                msg_processing_time=self.spec.processing_window_ms,
-            )
-        return destination_set(
-            *leaves, msg_pick_up_time=self.spec.pick_up_window_ms
+        self.ruleset = spec.to_ruleset(
+            list(testbed.receivers), body={"workload": True}
         )
 
     def run(self) -> WorkloadResult:
@@ -106,71 +155,18 @@ class WorkloadGenerator:
         inspects outcomes through the service.
         """
         result = WorkloadResult()
-        for index in range(self.spec.messages):
-            send_at = index * self.spec.inter_send_gap_ms
-            names = self._pick_receivers(index)
-            condition = self.build_condition(index)
-            wants_processing = condition.msg_processing_time is not None
-            all_on_time = True
-            scripts: List[ScriptedReceiver] = []
-            for name in names:
-                on_time = self._rng.random() < self.spec.on_time_probability
-                aborts = (
-                    wants_processing
-                    and self._rng.random() < self.spec.abort_probability
-                )
-                if not on_time or aborts:
-                    all_on_time = False
-                # On-time reactions land inside the first half of the
-                # window, leaving headroom for channel latency so the
-                # *read timestamp* is reliably within the deadline.
-                react = (
-                    self._rng.randint(1, max(self.spec.pick_up_window_ms // 2, 1))
-                    if on_time
-                    else self.spec.pick_up_window_ms * 2
-                )
-                mode = (
-                    ReceiverMode.PROCESS_ABORT
-                    if aborts
-                    else (
-                        ReceiverMode.PROCESS_COMMIT
-                        if wants_processing
-                        else ReceiverMode.READ
-                    )
-                )
-                scripts.append(
-                    ScriptedReceiver(
-                        self.testbed.receiver(name),
-                        self.testbed.scheduler,
-                        ReceiverScript(
-                            queue=self.testbed.queue_of(name),
-                            react_after_ms=react,
-                            mode=mode,
-                            process_ms=min(1_000, self.spec.processing_window_ms),
-                        ),
-                    )
-                )
 
-            def fire(
-                condition=condition, scripts=scripts, result=result
-            ) -> None:
-                cmid = self.testbed.service.send_message(
-                    {"workload": True}, condition
-                )
-                result.cmids.append(cmid)
-                result.sent += 1
-                for script in scripts:
-                    script.start()
+        def on_send(cmid: str, condition: Condition) -> None:
+            result.cmids.append(cmid)
+            result.sent += 1
 
-            self.testbed.scheduler.call_later(send_at, fire)
-            if all_on_time:
-                result.expected_success += 1
+        RuleDriver(self.testbed, self.ruleset, on_send=on_send).schedule()
+        fan_out = self.spec.fan_out
+        for index, message in enumerate(self.ruleset.messages):
+            own = self.ruleset.reactions[index * fan_out:(index + 1) * fan_out]
+            result.expected_success += all(
+                r.mode != "abort"
+                and r.at_ms - message.send_at_ms <= self.spec.pick_up_window_ms
+                for r in own
+            )
         return result
-
-    def _pick_receivers(self, index: int) -> List[str]:
-        start = (index * self.spec.fan_out) % len(self._receiver_names)
-        names = [
-            self._receiver_names[(start + i) % len(self._receiver_names)]
-            for i in range(self.spec.fan_out)
-        ]
-        return names

@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.chaos.bounded import (
-    BoundedExplorer,
-    RuleHarness,
-    canonical_ruleset,
-)
+from repro.chaos.bounded import BoundedExplorer, canonical_ruleset
+from repro.chaos.explorer import EpisodeSpec
 from repro.core import control
 from repro.core.compensation import CompensationManager
 from repro.rules import (
@@ -63,13 +60,18 @@ def broken_release(monkeypatch):
     monkeypatch.setattr(CompensationManager, "release", release)
 
 
+def rule_harness(ruleset):
+    """The deployment one bounded trajectory of ``ruleset`` runs on."""
+    return BoundedExplorer(ruleset, crash_budget=0).harness()
+
+
 class TestRuleHarness:
     def test_default_run_satisfies_invariants(self):
         explorer = BoundedExplorer(tiny_ruleset(), crash_budget=0)
         assert explorer.replay_script([]) == []
 
     def test_rule_sends_reach_the_ledger(self):
-        harness = RuleHarness(tiny_ruleset())
+        harness = rule_harness(tiny_ruleset())
         try:
             harness.schedule_workload()
             harness.scheduler.run_all()
@@ -82,7 +84,7 @@ class TestRuleHarness:
         finally:
             harness.close()
 
-    def test_receiver_naming_is_enforced(self):
+    def test_receivers_are_named_by_the_ruleset(self):
         ruleset = tiny_ruleset(
             receivers=["ALICE"],
             messages=[
@@ -92,10 +94,19 @@ class TestRuleHarness:
                     )
                 )
             ],
-            reactions=[],
+            reactions=[ReactionRule(receiver="ALICE", at_ms=50, mode="read")],
         )
-        with pytest.raises(ValueError, match="receiver naming"):
-            RuleHarness(ruleset)
+        harness = rule_harness(ruleset)
+        try:
+            assert "QM.ALICE" in harness.managers
+            harness.schedule_workload()
+            harness.scheduler.run_all()
+            (record,) = harness.ledger.sends.values()
+            assert record.destinations == [("QM.ALICE", "Q.ALICE")]
+            assert sum(harness.ledger.reads.values()) == 1
+        finally:
+            harness.close()
+        assert BoundedExplorer(ruleset, crash_budget=0).run().ok
 
     def test_failed_guard_aborts_and_leaves_message(self):
         ruleset = tiny_ruleset(
@@ -106,7 +117,7 @@ class TestRuleHarness:
                 )
             ],
         )
-        harness = RuleHarness(ruleset)
+        harness = rule_harness(ruleset)
         try:
             harness.schedule_workload()
             harness.scheduler.run_all()
@@ -131,7 +142,7 @@ class TestRuleHarness:
                 )
             ]
         )
-        harness = RuleHarness(ruleset)
+        harness = rule_harness(ruleset)
         try:
             harness.schedule_workload()
             harness.scheduler.run_all()
@@ -178,6 +189,22 @@ class TestBoundedExploration:
             BoundedExplorer(
                 tiny_ruleset(), crash_budget=1, crash_managers=["QM.R9"]
             )
+
+    def test_random_episode_ruleset_runs_under_the_bounded_checker(self):
+        # A random-walk episode's scenario is a rule set: cut seed 0's to
+        # its first message and that message's reactions, and the
+        # bounded checker enumerates it to fixpoint.
+        ruleset = EpisodeSpec.generate(0).ruleset
+        fan_out = len(ruleset.messages[0].condition.members)
+        ruleset.messages = ruleset.messages[:1]
+        ruleset.reactions = ruleset.reactions[:fan_out]
+        assert {r.receiver for r in ruleset.reactions} == {
+            leaf.receiver for leaf in ruleset.messages[0].condition.members
+        }
+        result = BoundedExplorer(ruleset, crash_budget=0).run()
+        assert result.ok, [str(v) for f in result.violations for v in f.violations]
+        assert result.complete
+        assert result.schedules >= 1
 
     def test_canonical_ruleset_closes_clean(self):
         result = BoundedExplorer(canonical_ruleset(), crash_budget=0).run()

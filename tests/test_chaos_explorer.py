@@ -25,6 +25,28 @@ class TestEpisodeSpec:
         assert again.to_dict() == spec.to_dict()
         assert again.journal == "file"
 
+    def test_generated_ruleset_validates(self):
+        for seed in range(20):
+            spec = EpisodeSpec.generate(seed)
+            spec.ruleset.validate()
+            fan_out = len(spec.ruleset.messages[0].condition.members)
+            assert len(spec.ruleset.reactions) == fan_out * len(
+                spec.ruleset.messages
+            )
+
+    def test_old_format_reproducer_is_refused(self):
+        old = {
+            "seed": 3,
+            "receivers": 3,
+            "latency_ms": 5,
+            "jitter_ms": 0,
+            "journal": "memory",
+            "workload": {"messages": 4, "fan_out": 2, "seed": 3},
+            "plan": {"seed": 3, "events": []},
+        }
+        with pytest.raises(ValueError, match=r"regenerate.*generate\(3\)"):
+            EpisodeSpec.from_json(json.dumps(old))
+
     def test_generated_plans_validate(self):
         for seed in range(20):
             EpisodeSpec.generate(seed).plan.validate()
@@ -137,7 +159,8 @@ class TestShrinking:
         # The planted bug needs no injected faults at all, so shrinking
         # strips the whole plan and cuts the workload.
         assert len(minimal.plan.events) <= len(spec.plan.events)
-        assert minimal.workload.messages <= spec.workload.messages
+        assert len(minimal.ruleset.messages) < len(spec.ruleset.messages)
+        assert len(minimal.ruleset.reactions) < len(spec.ruleset.reactions)
         path = explorer.write_repro(minimal, str(tmp_path / "repro.json"))
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()

@@ -3,8 +3,8 @@
 The same ``RttEstimator`` drives retransmission on the in-process
 ``MessageNetwork`` (here) and the TCP transport (test_net_wire); these
 tests pin the sim side: initial RTO from ``retry_interval_ms``,
-samples from clean transfers, backoff on loss, Karn's rule on retries
-and re-drives.
+samples from clean transfers, per-transfer backoff on loss, Karn's
+rule on retries and re-drives.
 """
 
 import pytest
@@ -46,19 +46,54 @@ def test_clean_transfer_feeds_rtt_sample(network, scheduler, clock):
 
 
 def test_lost_attempt_backs_off_and_retries_at_rto(network, scheduler, clock):
-    managers = build(network, clock, latency_ms=10, loss_rate=0.9,
-                     retry_interval_ms=100)
+    """Backoff is per transfer: one lossy message's retry gaps double,
+    while the channel RTO and a concurrent transfer's first retry stay
+    at the channel's estimate."""
+    managers = build(network, clock, latency_ms=10, retry_interval_ms=100)
     managers["QM.B"].define_queue("IN.Q")
-    for i in range(10):
-        managers["QM.A"].put_remote("QM.B", "IN.Q", Message(body=i))
-    scheduler.run_all()
     chan = network.channel("QM.A", "QM.B")
-    assert managers["QM.B"].depth("IN.Q") == 10  # reliable despite loss
-    assert chan.stats.failed_attempts > 0
-    # Every failed attempt doubled the RTO once (clamped).
-    assert chan.rtt.backoffs == chan.stats.failed_attempts
-    # Samples only from the (rare at 90% loss) clean first attempts.
-    assert chan.rtt.samples <= 10 - 1
+    one = Message(body="lossy")
+    two = Message(body="concurrent")
+    losses = {one.message_id: 4, two.message_id: 1}
+    attempts = {}
+    original = network._attempt_transfer
+
+    def attempt(channel, message_id):
+        # Deterministic loss: each message loses its first N attempts.
+        attempts.setdefault(message_id, []).append(clock.now_ms())
+        lose = losses.get(message_id, 0) > 0
+        if lose:
+            losses[message_id] -= 1
+        channel.loss_rate = 0.999999 if lose else 0.0
+        try:
+            original(channel, message_id)
+        finally:
+            channel.loss_rate = 0.0
+
+    network._attempt_transfer = attempt
+    managers["QM.A"].put_remote("QM.B", "IN.Q", one)
+    scheduler.run_until(300)  # one has failed twice, retry due at 310
+    managers["QM.A"].put_remote("QM.B", "IN.Q", two)
+    scheduler.run_all()
+
+    assert managers["QM.B"].depth("IN.Q") == 2  # reliable despite loss
+    assert chan.stats.failed_attempts == 5
+
+    def gaps(message):
+        times = attempts[message.message_id]
+        return [b - a for a, b in zip(times, times[1:])]
+
+    # The lossy transfer waits the channel RTO, then doubles its own.
+    assert gaps(one) == [100, 200, 400, 800]
+    # The concurrent transfer's first retry is the channel RTO, not the
+    # lossy transfer's backed-off 800 ms.
+    assert gaps(two) == [100]
+    # The shared estimator was never backed off.
+    assert chan.rtt.backoffs == 0
+    assert chan.rtt.rto == 100.0
+    # Karn: both deliveries followed retries, so neither sampled.
+    assert chan.rtt.samples == 0
+    assert not chan.inflight
 
 
 def test_karn_rule_retried_message_never_samples(network, scheduler, clock):

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.harness.metrics import LatencyStats, MetricSeries, percentile
 from repro.harness.reporting import Table
+from repro.obs import LatencyStats, percentile
 from repro.workloads.generator import WorkloadGenerator, WorkloadSpec
 from repro.workloads.receivers import ReceiverMode, ReceiverScript, ScriptedReceiver
 from repro.workloads.scenarios import Testbed
@@ -174,20 +174,6 @@ class TestMetrics:
         assert stats.p50 == 20.0
         with pytest.raises(ValueError):
             LatencyStats.from_samples([])
-
-    def test_metric_series(self):
-        series = MetricSeries()
-        series.record("lat", 5)
-        series.record("lat", 15)
-        assert series.samples("lat") == [5.0, 15.0]
-        assert series.stats("lat").mean == 10.0
-        assert series.stats("missing") is None
-        other = MetricSeries()
-        other.record("lat", 25)
-        other.record("tp", 1)
-        series.merge(other)
-        assert series.stats("lat").count == 3
-        assert set(series.names()) == {"lat", "tp"}
 
 
 class TestTable:
