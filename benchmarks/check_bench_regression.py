@@ -23,7 +23,9 @@ metrics the file carries (auto-detected from its shape):
 * ``BENCH_query.json`` — ``speedup_10k``, the worst selector-pushdown
   speedup over the linear scan at depth 10k;
 * ``BENCH_pubsub.json`` — ``speedup_10k_subs``, the subscription-trie
-  matching speedup over the linear pattern scan at 10k subscriptions.
+  matching speedup over the linear pattern scan at 10k subscriptions,
+  plus ``retained_speedup_10k`` (indexed retained catch-up over a linear
+  scan of 10k retained topics) when the file carries it.
 
 All metrics are higher-is-better; a gate fails when the current value is
 more than ``tolerance`` (default 25%) below the baseline.  Wall-clock
@@ -96,11 +98,16 @@ def extract_metrics(path, data):
     if "speedup_10k" in data:
         return {"speedup_10k": _positive(path, "speedup_10k", data["speedup_10k"])}
     if "speedup_10k_subs" in data:
-        return {
+        metrics = {
             "speedup_10k_subs": _positive(
                 path, "speedup_10k_subs", data["speedup_10k_subs"]
             )
         }
+        if "retained_speedup_10k" in data:
+            metrics["retained_speedup_10k"] = _positive(
+                path, "retained_speedup_10k", data["retained_speedup_10k"]
+            )
+        return metrics
     raise SystemExit(f"{path}: unrecognized benchmark shape (keys {sorted(data)})")
 
 

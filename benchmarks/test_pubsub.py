@@ -19,11 +19,18 @@ per-site ``#`` monitors) at 100 / 1k / 10k subscriptions and measures:
   broker (match cache on, selector-free), which adds copy fan-out and
   queue puts on top of matching.
 
+A second row times **retained catch-up** at 10k retained topics:
+``subscribe`` of a narrow device pattern (``fleet.<site>.<device>.*``,
+catch-up copies and queue puts included) against a linear
+``topic_matches`` scan over ``retained_topics()`` — what catch-up cost
+before the broker indexed retained topics by segment.
+
 Results land in ``BENCH_pubsub.json`` at the repo root; the CI
 benchmark-smoke gate tracks ``speedup_10k_subs`` (trie vs linear at 10k
-subscriptions).  Acceptance bar: >= 10x at 10k.  ``BENCH_SHORT=1`` cuts
-the query/publish counts but keeps all three scales so the gated metric
-exists on every run.
+subscriptions) and ``retained_speedup_10k`` (indexed catch-up vs the
+scan at 10k retained topics).  Acceptance bar: >= 10x for both.
+``BENCH_SHORT=1`` cuts the query/publish/subscribe counts but keeps all
+scales so the gated metrics exist on every run.
 """
 
 import json
@@ -35,7 +42,7 @@ from repro.obs import LatencyStats
 from repro.harness.reporting import Table
 from repro.mq.manager import QueueManager
 from repro.mq.message import Message
-from repro.mq.pubsub import TopicBroker
+from repro.mq.pubsub import TopicBroker, topic_matches
 from repro.sim.clock import SimulatedClock
 
 SHORT = os.environ.get("BENCH_SHORT", "") not in ("", "0")
@@ -44,6 +51,11 @@ SCALES = (100, 1_000, 10_000)
 MATCH_QUERIES = 60 if SHORT else 400
 #: Timed full publishes per scale.
 PUBLISHES = 100 if SHORT else 600
+#: Retained topics behind the catch-up row: sites x devices x sensors.
+RETAINED_SITES = 25
+RETAINED_DEVICES_PER_SITE = 100
+#: Timed late subscribes (and reference scans) in the catch-up row.
+RETAINED_SUBSCRIBES = 30 if SHORT else 200
 SEED = 20260808
 
 RESULT_PATH = os.path.abspath(
@@ -108,6 +120,50 @@ def timed_matching(matcher, topics) -> float:
     for topic in topics:
         matcher(topic)
     return (time.perf_counter() - started) / len(topics)
+
+
+def retained_catch_up_row() -> dict:
+    """Indexed retained catch-up vs a linear scan at 10k retained topics."""
+    rng = random.Random(SEED)
+    manager = QueueManager("QM.BENCH.RETAINED", SimulatedClock())
+    broker = TopicBroker(manager, retain_last=True)
+    devices = [
+        (f"site{site:02d}", f"dev{device:05d}")
+        for site in range(RETAINED_SITES)
+        for device in range(RETAINED_DEVICES_PER_SITE)
+    ]
+    for site, device in devices:
+        for sensor in SENSORS:
+            broker.publish(f"fleet.{site}.{device}.{sensor}", Message(body=0))
+    retained = len(broker.retained_topics())
+    patterns = [
+        "fleet.{}.{}.*".format(*rng.choice(devices))
+        for _ in range(RETAINED_SUBSCRIBES)
+    ]
+
+    copies = 0
+    started = time.perf_counter()
+    for index, pattern in enumerate(patterns):
+        copies += broker.subscribe(pattern, f"late{index:05d}").delivered
+    indexed_s = (time.perf_counter() - started) / len(patterns)
+
+    scanned = 0
+    started = time.perf_counter()
+    for pattern in patterns:
+        scanned += sum(
+            1 for topic in broker.retained_topics() if topic_matches(pattern, topic)
+        )
+    linear_s = (time.perf_counter() - started) / len(patterns)
+
+    # Both sides found the same topics: every device has every sensor.
+    assert copies == scanned == len(patterns) * len(SENSORS)
+    return {
+        "retained_topics": retained,
+        "subscribes": len(patterns),
+        "indexed_us_per_subscribe": indexed_s * 1e6,
+        "linear_us_per_scan": linear_s * 1e6,
+        "speedup": linear_s / indexed_s if indexed_s else float("inf"),
+    }
 
 
 def test_trie_matching_vs_linear_scan(report):
@@ -180,6 +236,22 @@ def test_trie_matching_vs_linear_scan(report):
         )
     report.emit(table)
 
+    retained = retained_catch_up_row()
+    retained_table = Table(
+        f"PUBSUB: retained catch-up, indexed subscribe vs linear scan"
+        f" ({retained['subscribes']} late subscribes)",
+        ["retained topics", "subscribe us", "linear scan us", "speedup"],
+    )
+    retained_table.add_row(
+        [
+            retained["retained_topics"],
+            round(retained["indexed_us_per_subscribe"], 2),
+            round(retained["linear_us_per_scan"], 2),
+            f"{retained['speedup']:.1f}x",
+        ]
+    )
+    report.emit(retained_table)
+
     speedup_10k_subs = next(
         row["speedup"] for row in results if row["subscriptions"] == 10_000
     )
@@ -190,11 +262,15 @@ def test_trie_matching_vs_linear_scan(report):
         "scales": list(SCALES),
         "results": results,
         "speedup_10k_subs": speedup_10k_subs,
+        "retained": retained,
+        "retained_speedup_10k": retained["speedup"],
     }
     with open(RESULT_PATH, "w", encoding="utf-8") as f:
         json.dump(payload, f, indent=2)
         f.write("\n")
 
-    # Acceptance bar: the trie beats the 10k-subscription linear scan by
-    # at least an order of magnitude.
+    # Acceptance bar: the trie beats the 10k-subscription linear scan,
+    # and indexed catch-up the 10k-topic retained scan, by at least an
+    # order of magnitude.
     assert speedup_10k_subs >= 10.0, results
+    assert retained["speedup"] >= 10.0, retained

@@ -113,13 +113,18 @@ def validate_properties(properties: Mapping[str, Any]) -> Dict[str, PropertyValu
     return validated
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """A MOM message.
 
     Messages are treated as immutable once put: the queue stores the object
     and hands it back on get.  Code that needs a variant (e.g. the network
     layer stamping hop information) uses :meth:`copy`.
+
+    Instances are slotted: a message holds exactly the fields below and
+    cannot carry ad-hoc attributes.  The broker and the queues keep one
+    message object per stored delivery, so the slotted layout is what
+    keeps deep queues and wide fan-outs small in memory.
 
     Attributes:
         message_id: Middleware-assigned unique id.
@@ -204,12 +209,25 @@ class Message:
         get the same checks ``__post_init__`` would apply.  The
         properties dict is shared with the source: messages are
         immutable once built (every property change goes through
-        :meth:`with_properties`, which builds a fresh dict).
+        :meth:`with_properties`, which builds a fresh dict).  An
+        override naming no field raises :class:`AttributeError`.
         """
         clone = object.__new__(Message)
-        clone.__dict__.update(self.__dict__)
+        clone.body = self.body
+        clone.message_id = self.message_id
+        clone.correlation_id = self.correlation_id
+        clone.properties = self.properties
+        clone.priority = self.priority
+        clone.delivery_mode = self.delivery_mode
+        clone.expiry_ms = self.expiry_ms
+        clone.reply_to_manager = self.reply_to_manager
+        clone.reply_to_queue = self.reply_to_queue
+        clone.put_time_ms = self.put_time_ms
+        clone.backout_count = self.backout_count
+        clone.source_manager = self.source_manager
         if overrides:
-            clone.__dict__.update(overrides)
+            for name, value in overrides.items():
+                setattr(clone, name, value)
             if "priority" in overrides and not (
                 MIN_PRIORITY <= clone.priority <= MAX_PRIORITY
             ):

@@ -43,7 +43,11 @@ Device-fleet extras (mirroring MQTT broker behaviour):
 * **retained last-value state** (``retain_last=True``): the broker keeps
   the last message published on each topic and delivers a copy to every
   newly matching subscription at subscribe time, so a monitor joining
-  late immediately sees the fleet's current state;
+  late immediately sees the fleet's current state.  Retained topics are
+  indexed by segment (:class:`_RetainedIndex`), so a catch-up walks only
+  the pattern's matching subtree — a narrow device pattern costs the
+  same at 4k retained topics as at 40 — and delivers in first-retain
+  order;
 * **unknown-topic auto-registration**: publishing on an undefined topic
   defines it on the fly (device auto-discovery) and counts it
   (``BrokerStats.auto_registered`` / ``pubsub.auto_registered``).
@@ -53,7 +57,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from operator import itemgetter
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import MQError, QueueFullError
 from repro.mq.manager import QueueManager
@@ -295,6 +300,97 @@ class SubscriptionTrie:
         return found
 
 
+class _RetainedIndex:
+    """Segment trie over retained topics, for subscribe-time catch-up.
+
+    Each node is a list ``[rank, topic, children]``: ``rank`` and
+    ``topic`` are set when a retained topic ends at the node (``None``
+    otherwise), ``children`` maps the next segment to its node and stays
+    ``None`` on leaves.  Plain lists keep the index near 300 bytes per
+    retained topic.  ``rank`` is the topic's first-retain order, so a
+    catch-up delivers in the order the broker's retained dict iterates.
+
+    A catch-up walks the pattern's segments from the root: a literal
+    segment follows one edge, ``*``/``+`` fans out over a node's
+    children, and ``#`` collects the whole subtree strictly below (one
+    or more further segments, as in :func:`_segments_match`).  Only the
+    matching subtree is touched, never the other retained topics.
+    """
+
+    __slots__ = ("_root", "_rank")
+
+    def __init__(self) -> None:
+        self._root: list = [None, None, None]
+        self._rank = 0
+
+    def add(self, topic: str) -> None:
+        """Index a topic that just became retained."""
+        node = self._root
+        for segment in topic.split("."):
+            children = node[2]
+            if children is None:
+                children = node[2] = {}
+            child = children.get(segment)
+            if child is None:
+                child = children[segment] = [None, None, None]
+            node = child
+        self._rank += 1
+        node[0] = self._rank
+        node[1] = topic
+
+    def remove(self, topic: str) -> None:
+        """Un-index a retained topic; prunes nodes left empty."""
+        path = []
+        node = self._root
+        for segment in topic.split("."):
+            path.append((node, segment))
+            node = node[2][segment]
+        node[0] = node[1] = None
+        while path and node[1] is None and not node[2]:
+            parent, segment = path.pop()
+            del parent[2][segment]
+            if not parent[2]:
+                parent[2] = None
+            node = parent
+
+    def match(self, pattern_segments: List[str]) -> List[str]:
+        """Retained topics matching the pre-split pattern, in rank order."""
+        hits: list = []
+        frontier = [self._root]
+        for segment in pattern_segments:
+            if segment == "#":
+                stack = [
+                    child
+                    for node in frontier if node[2]
+                    for child in node[2].values()
+                ]
+                while stack:
+                    node = stack.pop()
+                    if node[1] is not None:
+                        hits.append(node)
+                    if node[2]:
+                        stack.extend(node[2].values())
+                break
+            if segment in SINGLE_WILDCARDS:
+                frontier = [
+                    child
+                    for node in frontier if node[2]
+                    for child in node[2].values()
+                ]
+            else:
+                frontier = [
+                    node[2][segment]
+                    for node in frontier
+                    if node[2] and segment in node[2]
+                ]
+            if not frontier:
+                return []
+        else:
+            hits = [node for node in frontier if node[1] is not None]
+        hits.sort(key=itemgetter(0))
+        return [node[1] for node in hits]
+
+
 @dataclass
 class BrokerStats:
     """Broker-wide counters."""
@@ -349,6 +445,9 @@ class TopicBroker:
         )
         self._match_cache_size = match_cache_size
         self._retained: Dict[str, Message] = {}
+        self._retained_index = _RetainedIndex()
+        #: topics whose ingress queue is being drained right now
+        self._draining: Set[str] = set()
         self.stats = BrokerStats()
 
     # -- administration -----------------------------------------------------
@@ -410,7 +509,6 @@ class TopicBroker:
                 " ingress queues (topic-to-topic chaining would recurse)"
             )
         self.manager.ensure_queue(queue_name)
-        self._order += 1
         subscription = Subscription(
             name=subscription_name,
             pattern=pattern,
@@ -418,13 +516,17 @@ class TopicBroker:
             selector=compile_selector(selector),
             durable=durable,
             pattern_segments=pattern_segments,
-            order=self._order,
+            order=self._order + 1,
         )
+        # Catch-up is stored before the subscription goes live: put_many
+        # is all-or-nothing, so a QueueFullError leaves no subscription
+        # behind and the caller can retry with a roomier queue.
+        if self.retain_last and self._retained:
+            self._deliver_retained(subscription)
+        self._order = subscription.order
         self._subscriptions[subscription_name] = subscription
         self._trie.add(subscription)
         self._note_churn()
-        if self.retain_last and self._retained:
-            self._deliver_retained(subscription)
         return subscription
 
     def unsubscribe(self, subscription_name: str) -> None:
@@ -496,18 +598,21 @@ class TopicBroker:
 
     def clear_retained(self, topic: str) -> None:
         """Drop a topic's retained message."""
-        self._retained.pop(topic, None)
+        if self._retained.pop(topic, None) is not None:
+            self._retained_index.remove(topic)
 
     def _deliver_retained(self, subscription: Subscription) -> None:
-        """Hand the new subscription every matching topic's last value."""
-        pattern_segments = subscription.pattern_segments
+        """Hand the new subscription every matching topic's last value.
+
+        Only the retained topics the pattern matches are visited (the
+        :class:`_RetainedIndex` walk), and copies go out in first-retain
+        order.
+        """
+        selector = subscription.selector
         deliveries: List[Message] = []
-        for topic, message in self._retained.items():
-            if not _segments_match(pattern_segments, topic.split(".")):
-                continue
-            if subscription.selector is not None and not subscription.selector(
-                message
-            ):
+        for topic in self._retained_index.match(subscription.pattern_segments):
+            message = self._retained[topic]
+            if selector is not None and not selector(message):
                 continue
             deliveries.append(message.copy(message_id=new_message_id()))
         if not deliveries:
@@ -535,16 +640,15 @@ class TopicBroker:
         the whole publish costs a single journal flush, and capacity is
         pre-checked across every target queue — a full queue raises
         :class:`~repro.errors.QueueFullError` *before* anything is
-        delivered or counted, never mid-fan-out.
+        delivered or counted, never mid-fan-out.  A publish that fails
+        that way is not counted as published and does not become the
+        topic's retained value.
         """
         if topic not in self._topics:
             self.define_topic(topic)
             self.stats.auto_registered += 1
             if self.metrics is not None:
                 self.metrics.incr("pubsub.auto_registered")
-        self.stats.published += 1
-        if self.metrics is not None:
-            self.metrics.incr("pubsub.published")
         matched = self.subscriptions_for(topic)
         deliveries: List[Tuple[Subscription, Message]] = []
         for subscription in matched:
@@ -555,10 +659,15 @@ class TopicBroker:
             deliveries.append(
                 (subscription, message.copy(message_id=new_message_id()))
             )
-        if self.retain_last:
-            self._retained[topic] = message
         if deliveries:
             self._deliver_batch(deliveries)
+        if self.retain_last:
+            if topic not in self._retained:
+                self._retained_index.add(topic)
+            self._retained[topic] = message
+        self.stats.published += 1
+        if self.metrics is not None:
+            self.metrics.incr("pubsub.published")
         delivered = len(deliveries)
         if delivered == 0:
             self.stats.unmatched += 1
@@ -602,11 +711,32 @@ class TopicBroker:
             )
 
     def _drain_ingress(self, topic: str) -> None:
-        """Fan out everything currently parked on a topic's ingress queue."""
-        ingress = self.manager.queue(topic_queue_name(topic))
-        while True:
-            try:
-                message = ingress.get()
-            except MQError:
-                return
-            self.publish(topic, message)
+        """Fan out everything parked on a topic's ingress queue, in order.
+
+        Each head message is browsed, published and then removed through
+        the manager (so the removal is journaled) in one commit group:
+        recovery never finds an already fanned-out message back on the
+        ingress queue.  A full subscriber queue leaves the head message
+        parked for the next drain, so the put that woke the drain
+        returns and nothing is lost.  A drain re-entered for the same
+        topic (a put listener downstream putting on this ingress queue)
+        returns at once; the outer drain picks the new message up.
+        """
+        if topic in self._draining:
+            return
+        ingress_name = topic_queue_name(topic)
+        ingress = self.manager.queue(ingress_name)
+        self._draining.add(topic)
+        try:
+            while True:
+                message = ingress.peek()
+                if message is None:
+                    return
+                try:
+                    with self.manager.group_commit():
+                        self.publish(topic, message)
+                        self.manager.get_by_id(ingress_name, message.message_id)
+                except QueueFullError:
+                    return
+        finally:
+            self._draining.discard(topic)

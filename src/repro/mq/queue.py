@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Optional
 
 from repro.errors import EmptyQueueError, MQError, QueueFullError
-from repro.mq.message import Message
+from repro.mq.message import MAX_PRIORITY, Message
 from repro.obs.trace import NULL_TRACER, STAGE_EXPIRED, Tracer, cmid_of
 from repro.obs.registry import MetricsRegistry
 from repro.sim.clock import Clock
@@ -41,11 +41,26 @@ class QueueStats:
     high_water_depth: int = 0
 
 
-@dataclass(order=True)
-class _Entry:
-    """Heap-free ordered entry: (negated priority, arrival seq) sorts first."""
+#: Bits of a sort key below the priority rank (arrival sequence numbers
+#: stay far below 2**56 for any queue's lifetime).
+_SEQ_BITS = 56
 
-    sort_key: tuple
+
+def _sort_key(priority: int, seq: int) -> int:
+    """One int ordering higher priority first, then arrival (FIFO).
+
+    One int (32 bytes) per stored message in place of a
+    ``(-priority, seq)`` tuple (84 bytes with its sequence int); both
+    order the same while ``seq < 2**_SEQ_BITS``.
+    """
+    return ((MAX_PRIORITY - priority) << _SEQ_BITS) | seq
+
+
+@dataclass(order=True, slots=True)
+class _Entry:
+    """Heap-free ordered entry: the smallest :func:`_sort_key` sorts first."""
+
+    sort_key: int
     message: Message = field(compare=False)
     locked_by: Optional[str] = field(default=None, compare=False)
 
@@ -165,7 +180,7 @@ class MessageQueue:
             raise QueueFullError(self.name, self._max_depth)
         stored = message.copy(put_time_ms=self._clock.now_ms())
         entry = _Entry(
-            sort_key=(-stored.priority, next(self._seq)), message=stored
+            sort_key=_sort_key(stored.priority, next(self._seq)), message=stored
         )
         # Insert maintaining sorted order.  Entries arrive mostly in order
         # (same priority), so scan from the tail.
@@ -209,7 +224,10 @@ class MessageQueue:
             return []
         now = self._clock.now_ms()
         new_entries = [
-            _Entry(sort_key=(-m.priority, next(self._seq)), message=m.copy(put_time_ms=now))
+            _Entry(
+                sort_key=_sort_key(m.priority, next(self._seq)),
+                message=m.copy(put_time_ms=now),
+            )
             for m in messages
         ]
         new_entries.sort()
@@ -402,7 +420,8 @@ class MessageQueue:
         self._seq = itertools.count(1)
         for message in messages:
             entry = _Entry(
-                sort_key=(-message.priority, next(self._seq)), message=message
+                sort_key=_sort_key(message.priority, next(self._seq)),
+                message=message,
             )
             self._entries.append(entry)
         self._entries.sort()

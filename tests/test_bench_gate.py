@@ -42,6 +42,11 @@ class TestMetricDetection:
     def test_pubsub_shape(self):
         data = {"speedup_10k_subs": 42.0, "results": [], "scales": [100]}
         assert extract_metrics("ps.json", data) == {"speedup_10k_subs": 42.0}
+        data["retained_speedup_10k"] = 300.0
+        assert extract_metrics("ps.json", data) == {
+            "speedup_10k_subs": 42.0,
+            "retained_speedup_10k": 300.0,
+        }
 
     def test_throughput_shape_with_multiprocess_section(self):
         data = {
@@ -111,6 +116,19 @@ class TestGating:
             {"msgs_per_sec": 200.0, "multiprocess": {"speedup_vs_1": 1.0}},
         )
         assert main(["--gate", f"{base}:{curr}"]) == 1
+
+    def test_retained_speedup_regression_cannot_hide(self, tmp_path):
+        base = write(
+            tmp_path / "b.json",
+            {"speedup_10k_subs": 100.0, "retained_speedup_10k": 300.0},
+        )
+        curr = write(
+            tmp_path / "c.json",
+            {"speedup_10k_subs": 200.0, "retained_speedup_10k": 100.0},
+        )
+        assert main(["--gate", f"{base}:{curr}:0.5"]) == 1
+        dropped = write(tmp_path / "d.json", {"speedup_10k_subs": 200.0})
+        assert main(["--gate", f"{base}:{dropped}:0.5"]) == 1
 
     def test_legacy_interface_still_works(self, tmp_path):
         base = write(tmp_path / "b.json", {"msgs_per_sec": 100.0})

@@ -1,5 +1,8 @@
 """Unit tests for messages and the message builder."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.errors import MQError
@@ -97,6 +100,33 @@ class TestMessage:
     def test_copy_validates_overrides(self):
         with pytest.raises(MQError):
             Message(body=None).copy(priority=42)
+
+    def test_copy_rejects_unknown_override(self):
+        with pytest.raises(AttributeError):
+            Message(body=None).copy(hop_count=1)
+
+    def test_no_ad_hoc_attributes(self):
+        with pytest.raises(AttributeError):
+            Message(body=None).hop_count = 1
+
+    @pytest.mark.parametrize(
+        "round_trip", [lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy]
+    )
+    def test_round_trips(self, round_trip):
+        message = Message(
+            body={"n": [1, 2]},
+            correlation_id="c-1",
+            properties={"a": 1, "b": "x"},
+            priority=6,
+            delivery_mode=DeliveryMode.NON_PERSISTENT,
+            expiry_ms=900,
+            reply_to_manager="QM.A",
+            reply_to_queue="ACK.Q",
+            put_time_ms=12,
+            backout_count=2,
+            source_manager="QM.B",
+        )
+        assert round_trip(message) == message
 
 
 class TestMessageBuilder:

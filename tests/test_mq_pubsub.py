@@ -162,6 +162,57 @@ class TestIngressQueue:
         sender.put_remote("QM.HUB", topic_queue_name("news"), Message(body="hi"))
         assert hub.get(SUBSCRIPTION_QUEUE_PREFIX + "reader").body == "hi"
 
+    def test_full_subscriber_queue_parks_the_message(self, broker, manager):
+        broker.define_topic("t")
+        manager.ensure_queue("TINY", max_depth=1)
+        broker.subscribe("t", "narrow", queue_name="TINY")
+        ingress = topic_queue_name("t")
+        manager.put(ingress, Message(body=1))
+        # The subscriber queue is full: the put still returns and the
+        # message waits on the ingress queue instead of being lost.
+        manager.put(ingress, Message(body=2))
+        manager.put(ingress, Message(body=3))
+        assert [m.body for m in manager.browse(ingress)] == [2, 3]
+        assert broker.stats.published == 1
+        assert manager.get("TINY").body == 1
+        manager.put(ingress, Message(body=4))  # wakes the drain: 2 goes out
+        assert manager.get("TINY").body == 2
+        assert [m.body for m in manager.browse(ingress)] == [3, 4]
+
+    def test_drain_is_journaled_with_the_fanout(self, clock, tmp_path):
+        url = f"file:{tmp_path / 'hub.journal'}"
+        hub = QueueManager("QM.HUB", clock, journal=url)
+        broker = TopicBroker(hub)
+        broker.define_topic("t")
+        subscription = broker.subscribe("t", "reader")
+        hub.put(topic_queue_name("t"), Message(body="x"))
+        hub.journal.close()
+        recovered = QueueManager.recover("QM.HUB", clock, url)
+        # Recovery must not bring the fanned-out message back to the
+        # ingress queue, or the next drain would publish it twice.
+        assert recovered.depth(topic_queue_name("t")) == 0
+        assert [m.body for m in recovered.browse(subscription.queue_name)] == ["x"]
+        recovered.journal.close()
+
+    def test_reentrant_put_on_the_ingress_queue_publishes_once(
+        self, broker, manager
+    ):
+        broker.define_topic("t")
+        subscription = broker.subscribe("t", "relay")
+        ingress = topic_queue_name("t")
+
+        def relay(message):
+            if message.body == "first":
+                manager.put(ingress, Message(body="second"))
+
+        manager.queue(subscription.queue_name).subscribe(relay)
+        manager.put(ingress, Message(body="first"))
+        assert [m.body for m in manager.browse(subscription.queue_name)] == [
+            "first",
+            "second",
+        ]
+        assert manager.depth(ingress) == 0
+
     def test_define_topic_idempotent(self, broker):
         first = broker.define_topic("t")
         second = broker.define_topic("t")
@@ -356,6 +407,41 @@ class TestRetainedMessages:
         assert retaining.retained("a") is None
         assert retaining.subscribe("#", "late").delivered == 1
 
+    def test_catch_up_visits_only_matching_topics(
+        self, retaining, manager, monkeypatch
+    ):
+        for device in range(100):
+            retaining.publish(f"fleet.s1.dev{device}.temp", Message(body=device))
+
+        def no_scan(*_args):
+            raise AssertionError("catch-up fell back to a per-topic scan")
+
+        monkeypatch.setattr(pubsub_module, "_segments_match", no_scan)
+        subscription = retaining.subscribe("fleet.s1.dev42.*", "late")
+        assert [m.body for m in manager.browse(subscription.queue_name)] == [42]
+
+    def test_catch_up_follows_first_retain_order(self, retaining, manager):
+        for topic in ("a.z", "a.b", "a.m.x", "a.b.c"):
+            retaining.publish(topic, Message(body=topic))
+        retaining.publish("a.z", Message(body="a.z again"))
+        retaining.clear_retained("a.b")
+        retaining.publish("a.b", Message(body="a.b again"))
+        subscription = retaining.subscribe("a.#", "late")
+        assert [m.body for m in manager.browse(subscription.queue_name)] == [
+            "a.z again",
+            "a.m.x",
+            "a.b.c",
+            "a.b again",
+        ]
+
+    def test_clear_retained_prunes_the_index(self, retaining):
+        retaining.publish("a.b.c", Message(body=1))
+        retaining.publish("a.b", Message(body=2))
+        retaining.clear_retained("a.b.c")
+        retaining.clear_retained("a.b")
+        retaining.clear_retained("never.retained")
+        assert retaining._retained_index._root == [None, None, None]
+
     def test_disabled_by_default(self, broker, manager):
         broker.publish("a", Message(body=1))
         subscription = broker.subscribe("a", "late")
@@ -385,6 +471,37 @@ class TestAtomicFanout:
         # Retained catch-up for '#' wants two copies into a depth-1 queue.
         with pytest.raises(QueueFullError):
             broker.subscribe("#", "late", queue_name="TIGHT")
+        # The refused subscription never went live: no later publish
+        # reaches it, and a retry with a roomy queue is not "exists".
+        assert broker.subscription_count() == 0
+        assert manager.depth("TIGHT") == 0
+        broker.publish("a", Message(body=3))
+        assert manager.depth("TIGHT") == 0
+        subscription = broker.subscribe("#", "late")
+        assert [m.body for m in manager.browse(subscription.queue_name)] == [3, 2]
+        assert broker.subscription_count() == 1
+
+    def test_failed_publish_is_not_retained_or_counted(self, manager):
+        broker = TopicBroker(manager, retain_last=True)
+        manager.ensure_queue("TINY", max_depth=1)
+        broker.subscribe("t", "narrow", queue_name="TINY")
+        broker.publish("t", Message(body=1))  # fills TINY
+        with pytest.raises(QueueFullError):
+            broker.publish("t", Message(body=2))
+        assert broker.retained("t").body == 1
+        assert broker.stats.published == 1
+        late = broker.subscribe("t", "late")
+        assert [m.body for m in manager.browse(late.queue_name)] == [1]
+
+    def test_failed_first_publish_leaves_no_retained_topic(self, manager):
+        broker = TopicBroker(manager, retain_last=True)
+        manager.ensure_queue("TINY", max_depth=1)
+        manager.put("TINY", Message(body="filler"))
+        broker.subscribe("t", "narrow", queue_name="TINY")
+        with pytest.raises(QueueFullError):
+            broker.publish("t", Message(body=1))
+        assert broker.retained_topics() == []
+        assert broker.subscribe("#", "late").delivered == 0
 
     def test_publish_is_one_commit_group(self, journaled_manager):
         broker = TopicBroker(journaled_manager)

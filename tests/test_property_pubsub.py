@@ -6,7 +6,9 @@ defines pairwise.  These tests differentially check the two over
 generated topic/pattern populations — including ``+``/``#`` wildcard
 edges and malformed patterns — and drive seeded churn sequences
 (subscribe / unsubscribe / drop-nondurable / publish) asserting the
-memoized match cache never drops or duplicates a delivery.
+memoized match cache never drops or duplicates a delivery.  Retained
+catch-up, which walks its own segment index, is checked the same way
+against a filter of ``retained_topics()`` through ``topic_matches``.
 """
 
 import hypothesis.strategies as st
@@ -151,3 +153,55 @@ def test_unsubscribe_all_empties_the_trie(pattern_list, topic):
     # Pruning left the root childless — no dead device patterns linger.
     root = broker._trie._root
     assert root.is_empty()
+
+
+#: Populations with prefix topics (``a.b`` beside ``a.b.c``), so ``#``
+#: and ``*`` edges land on nodes that are both retained and interior.
+retained_segments = st.sampled_from(["a", "b", "c"])
+retained_topic_pool = st.lists(retained_segments, min_size=1, max_size=4).map(
+    ".".join
+)
+retained_patterns = st.builds(
+    lambda head, tail: ".".join(head + tail),
+    st.lists(st.one_of(retained_segments, st.sampled_from(["*", "+"])), max_size=4),
+    st.sampled_from([[], ["#"]]),
+).filter(bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(retained_topic_pool, min_size=1, max_size=12),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["publish", "clear", "subscribe"]),
+            st.integers(0, 11),
+            retained_patterns,
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+)
+def test_retained_catch_up_equals_filtered_retained_topics(population, ops):
+    """Catch-up copies equal, in order, the retained topics the pattern
+    matches, each carrying that topic's last published value — through
+    re-publishes and clears of topics that are prefixes of others."""
+    manager = QueueManager("QM.PROP", SimulatedClock())
+    broker = TopicBroker(manager, retain_last=True)
+    for topic in population:
+        broker.publish(topic, Message(body=(topic, -1)))
+    for serial, (op, index, pattern) in enumerate(ops):
+        topic = population[index % len(population)]
+        if op == "publish":
+            broker.publish(topic, Message(body=(topic, serial)))
+        elif op == "clear":
+            broker.clear_retained(topic)
+        else:
+            expected = [
+                broker.retained(retained).body
+                for retained in broker.retained_topics()
+                if topic_matches(pattern, retained)
+            ]
+            subscription = broker.subscribe(pattern, f"s{serial}")
+            copies = [m.body for m in manager.browse(subscription.queue_name)]
+            assert copies == expected
+            broker.unsubscribe(subscription.name)
